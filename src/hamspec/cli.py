@@ -210,6 +210,13 @@ def main(argv=None) -> int:
     except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        # verify upper-bound has already closed its progress file, which
+        # holds every key that passed before the interrupt
+        resume = getattr(args, "resume", None)
+        hint = f"; rerun with --resume {resume} to continue" if resume else ""
+        print(f"interrupted{hint}", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

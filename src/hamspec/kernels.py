@@ -1,16 +1,28 @@
 """Hot loops over all n! vertex bijections, with two interchangeable backends.
 
-The default backend compiles the loops with numba; a pure-numpy backend
-processes permutations in vectorized chunks instead. Set HAMSPEC_KERNEL to
-"numba" or "numpy" to force one; any other value (or unset) picks numba when
-it imports cleanly. Both backends return identical results, including the
-lexicographically smallest witness permutations; benchmarks/bench_kernels.py
-times them against each other.
+The numpy backend is the one that runs where numba is not installed. For
+n <= 8 it works from one cached lexicographic table of all n! permutations
+(2.6 MB at n = 8): the sum scan reads the table as a single chunk, and the
+canonical code of a graph under every ordering is a sum of one weight
+column per edge, gathered from the table (see code_columns). The class
+enumeration in verify.py uses those columns to extend one base graph to
+all its one-vertex extensions by subset sums; it takes about 0.2 s for the
+853 classes at n = 7 and about 18 s for the 11117 at n = 8 (Python 3.11,
+numpy 2.4, one core of a 2-core Xeon). For n >= 9 the scan generates
+permutations in chunks of _NUMPY_CHUNK instead of caching a table (26 MB
+at n = 9).
+
+The numba backend compiles the scalar loops below; it is picked when numba
+imports cleanly. Set HAMSPEC_KERNEL to "numba" or "numpy" to force one; any
+other value (or unset) means numba if importable. Both backends return
+identical results, including the lexicographically smallest witness
+permutations.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from functools import lru_cache
 
@@ -134,6 +146,7 @@ if HAVE_NUMBA:
 
 @lru_cache(maxsize=8)
 def _permutation_table(n: int) -> np.ndarray:
+    """All n! permutations of range(n) as rows, in lexicographic order."""
     table = np.fromiter(
         itertools.chain.from_iterable(itertools.permutations(range(n))),
         dtype=np.int64,
@@ -141,10 +154,11 @@ def _permutation_table(n: int) -> np.ndarray:
     return table.reshape(-1, n)
 
 
-def _sum_scan_numpy(dist, hu, hv, counts, min_wit, max_wit):
-    n = dist.shape[0]
-    best_min = counts.shape[0]
-    best_max = -1
+def _permutation_chunks(n: int):
+    """Row blocks of all n! permutations in lexicographic order."""
+    if math.factorial(n) <= _NUMPY_CHUNK:
+        yield _permutation_table(n)
+        return
     perm_iter = itertools.permutations(range(n))
     while True:
         flat = np.fromiter(
@@ -152,8 +166,14 @@ def _sum_scan_numpy(dist, hu, hv, counts, min_wit, max_wit):
             dtype=np.int64,
         )
         if flat.size == 0:
-            break
-        perms = flat.reshape(-1, n)
+            return
+        yield flat.reshape(-1, n)
+
+
+def _sum_scan_numpy(dist, hu, hv, counts, min_wit, max_wit):
+    best_min = counts.shape[0]
+    best_max = -1
+    for perms in _permutation_chunks(dist.shape[0]):
         if hu.size:
             sums = dist[perms[:, hu], perms[:, hv]].sum(axis=1)
         else:
@@ -170,15 +190,29 @@ def _sum_scan_numpy(dist, hu, hv, counts, min_wit, max_wit):
     return best_min, best_max
 
 
-def _canonical_numpy(adj):
-    n = adj.shape[0]
-    if n == 1:
-        return 0, 1
-    perms = _permutation_table(n)
+def code_columns(n: int, us, vs) -> np.ndarray:
+    """Canonical-code weight of each edge (us[k], vs[k]) under every ordering.
+
+    Row r reads permutation r of the lexicographic table as the map vertex ->
+    position, and entry (r, k) is the bit that edge k sets in the code of
+    that ordering: the weight of the position pair it lands on, the first
+    pair of the upper triangle being the most significant bit. A graph's
+    code under ordering r is the sum of its edges' entries in row r. Rows
+    range over all n! orderings, so the minimum of those sums and its
+    multiplicity are the canonical code and the automorphism count that
+    _canonical_loop computes.
+    """
     rows, cols = np.triu_indices(n, k=1)
-    bits = adj[perms[:, rows], perms[:, cols]]
-    weights = np.int64(1) << np.arange(rows.size - 1, -1, -1, dtype=np.int64)
-    codes = bits @ weights
+    weights = np.zeros((n, n), dtype=np.int64)
+    weights[rows, cols] = np.int64(1) << np.arange(rows.size - 1, -1, -1, dtype=np.int64)
+    weights += weights.T
+    perms = _permutation_table(n)
+    return weights[perms[:, us], perms[:, vs]]
+
+
+def _canonical_numpy(adj):
+    us, vs = np.nonzero(np.triu(adj, k=1))
+    codes = code_columns(adj.shape[0], us, vs).sum(axis=1)
     best = int(codes.min())
     return best, int((codes == best).sum())
 

@@ -15,6 +15,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from . import kernels
 from .graphs import (
     Graph,
@@ -30,8 +32,9 @@ from .graphs import (
 )
 from .spectra import extremal_number
 
-# n=8 already holds 11117 classes and 8! permutations apiece; past 7 the
-# sweeps stop being interactive.
+# n=8 holds 11117 classes; enumerating them takes about 18 s on the numpy
+# backend (0.2 s at n=7; timings in the kernels module docstring), too slow
+# for an interactive sweep, so the cap stays at 7.
 ENUMERATION_CAP = 7
 
 
@@ -39,13 +42,19 @@ ENUMERATION_CAP = 7
 def _connected_classes(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1, ()),)
+    # code of base + attachment mask under every ordering, built by subset
+    # sums: codes[mask | 1 << v] = codes[mask] + attach[v] for mask < 1 << v
+    attach = kernels.code_columns(n, np.arange(n - 1), np.full(n - 1, n - 1)).T.copy()
+    codes = np.empty((1 << (n - 1), attach.shape[1]), dtype=np.int64)
     seen = set()
     for base in _connected_classes(n - 1):
-        for mask in range(1, 1 << (n - 1)):
-            edges = list(base.edges)
-            edges.extend((v, n - 1) for v in range(n - 1) if (mask >> v) & 1)
-            code, _ = kernels.canonical_code(kernels.adjacency_matrix(n, edges))
-            seen.add(code)
+        us = np.array([a for a, _ in base.edges], dtype=np.int64)
+        vs = np.array([b for _, b in base.edges], dtype=np.int64)
+        codes[0] = kernels.code_columns(n, us, vs).sum(axis=1)
+        for v in range(n - 1):
+            np.add(codes[: 1 << v], attach[v], out=codes[1 << v : 2 << v])
+        # mask 0 leaves the new vertex isolated
+        seen.update(codes[1:].min(axis=1).tolist())
     return tuple(Graph(n, kernels.edges_from_code(n, code)) for code in sorted(seen))
 
 
@@ -183,19 +192,17 @@ def verify_upper_bound(
                 continue
             items.append((key, h, g, bound))
 
+    def run(item):
+        key, h, g, bound = item
+        return key, _check_upper_bound_item(h, g, bound, n)
+
     failures = []
     log = open(progress_path, "a", encoding="ascii") if progress_path else None
+    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
     try:
-        def run(item):
-            key, h, g, bound = item
-            return key, _check_upper_bound_item(h, g, bound, n)
-
-        if jobs > 1:
-            # numba kernels drop the GIL, so threads scan in parallel
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(run, items))
-        else:
-            results = [run(item) for item in items]
+        # threads overlap only inside kernels that release the GIL, as the
+        # numba ones do; on the numpy backend jobs=2 is no faster than jobs=1
+        results = pool.map(run, items) if pool else map(run, items)
         for key, problem in results:
             if problem is None:
                 if log:
@@ -204,6 +211,8 @@ def verify_upper_bound(
             else:
                 failures.append((key, problem))
     finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
         if log:
             log.close()
     return VerificationReport(

@@ -155,6 +155,18 @@ def test_verify_resume_flag(files, tmp_path, capsys):
     assert progress.read_text().strip()
 
 
+def test_verify_interrupt_exit_code(tmp_path, capsys, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "verify_upper_bound", interrupted)
+    progress = tmp_path / "up.progress"
+    code, out, err = run(capsys, "verify", "upper-bound", "--n", "5", "--resume", str(progress))
+    assert code == 130
+    assert out == ""
+    assert err == f"interrupted; rerun with --resume {progress} to continue\n"
+
+
 def test_verify_counterexample_exit_code(files, capsys, monkeypatch):
     broken = VerificationReport("closed-forms", 1, (("Bw|n=3", "got 5, expected 4"),))
     monkeypatch.setattr(cli, "verify_closed_forms", lambda n: broken)

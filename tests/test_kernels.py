@@ -1,8 +1,14 @@
-"""Backend agreement and correctness of the permutation-scan kernels."""
+"""Correctness of the permutation-scan kernels, and backend agreement.
+
+Only the tests that compare against the numba backend need numba; the rest
+run on whichever backends are importable, checked against pure-python
+brute force.
+"""
 
 import itertools
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +16,8 @@ import pytest
 from hamspec import kernels
 from hamspec.graphs import build_graph, distance_matrix, make_complete, make_cycle, make_path
 
-pytestmark = pytest.mark.skipif(
+BACKENDS = ("numba", "numpy") if kernels.HAVE_NUMBA else ("numpy",)
+needs_numba = pytest.mark.skipif(
     not kernels.HAVE_NUMBA, reason="agreement tests compare against the numba backend"
 )
 
@@ -33,14 +40,19 @@ def _random_instance(rng, n):
 
 
 def test_active_backend_env(monkeypatch):
+    default = "numba" if kernels.HAVE_NUMBA else "numpy"
     monkeypatch.setenv("HAMSPEC_KERNEL", "numpy")
     assert kernels.active_backend() == "numpy"
     monkeypatch.setenv("HAMSPEC_KERNEL", "numba")
-    assert kernels.active_backend() == "numba"
+    if kernels.HAVE_NUMBA:
+        assert kernels.active_backend() == "numba"
+    else:
+        with pytest.raises(RuntimeError):
+            kernels.active_backend()
     monkeypatch.setenv("HAMSPEC_KERNEL", "anything-else")
-    assert kernels.active_backend() == "numba"
+    assert kernels.active_backend() == default
     monkeypatch.delenv("HAMSPEC_KERNEL")
-    assert kernels.active_backend() == "numba"
+    assert kernels.active_backend() == default
 
 
 def test_resolve_rejects_unknown():
@@ -50,6 +62,7 @@ def test_resolve_rejects_unknown():
         kernels.scan_sums(dist, empty, empty, backend="cuda")
 
 
+@needs_numba
 def test_scan_sums_backends_agree():
     rng = random.Random(2471)
     for _ in range(25):
@@ -64,31 +77,54 @@ def test_scan_sums_backends_agree():
         assert counts_a.sum() == math.factorial(n)
 
 
+def _brute_force_scan(dist, h_edges):
+    """Histogram of edge-distance sums over itertools.permutations, with the
+    first permutation (in lexicographic order) attaining each sum."""
+    d = dist.tolist()
+    counts = Counter()
+    first = {}
+    for perm in itertools.permutations(range(len(d))):
+        s = 0
+        for a, b in h_edges:
+            s += d[perm[a]][perm[b]]
+        counts[s] += 1
+        if s not in first:
+            first[s] = perm
+    return counts, first
+
+
 def test_scan_sums_witnesses_are_lex_smallest():
-    # brute force the same scan in pure python
-    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 4)])
-    h = build_graph(5, [(0, 2), (1, 3), (2, 4), (0, 1)])
-    dist = distance_matrix(g)
-    hu = np.array([a for a, _ in h.edges], dtype=np.int64)
-    hv = np.array([b for _, b in h.edges], dtype=np.int64)
-    sums = {}
-    for perm in itertools.permutations(range(5)):
-        s = sum(int(dist[perm[a], perm[b]]) for a, b in h.edges)
-        sums.setdefault(s, perm)
-    for backend in ("numba", "numpy"):
-        counts, lo, hi, mw, xw = kernels.scan_sums(dist, hu, hv, backend=backend)
-        assert lo == min(sums)
-        assert hi == max(sums)
-        assert tuple(mw) == sums[lo]
-        assert tuple(xw) == sums[hi]
-        for s, c in ((s, c) for s, c in enumerate(counts) if c):
-            assert s in sums
+    rng = random.Random(8128)
+    g8 = build_graph(8, [(rng.randrange(i), i) for i in range(1, 8)] + [(0, 7), (2, 5)])
+    g9 = build_graph(9, [(rng.randrange(i), i) for i in range(1, 9)] + [(1, 8)])
+    instances = [
+        (
+            build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 4)]),
+            build_graph(5, [(0, 2), (1, 3), (2, 4), (0, 1)]),
+        ),
+        # n! = _NUMPY_CHUNK: one pass over the cached permutation table
+        (g8, build_graph(8, [(0, 3), (1, 6), (2, 7), (3, 5), (4, 6), (0, 7)])),
+        # n! > _NUMPY_CHUNK: permutations generated chunk by chunk
+        (g9, make_path(9)),
+    ]
+    assert math.factorial(8) <= kernels._NUMPY_CHUNK < math.factorial(9)
+    for g, h in instances:
+        dist = distance_matrix(g)
+        hu = np.array([a for a, _ in h.edges], dtype=np.int64)
+        hv = np.array([b for _, b in h.edges], dtype=np.int64)
+        want, first = _brute_force_scan(dist, h.edges)
+        for backend in BACKENDS:
+            counts, lo, hi, mw, xw = kernels.scan_sums(dist, hu, hv, backend=backend)
+            assert {s: int(c) for s, c in enumerate(counts) if c} == dict(want)
+            assert (lo, hi) == (min(want), max(want))
+            assert tuple(mw) == first[lo]
+            assert tuple(xw) == first[hi]
 
 
 def test_scan_sums_edgeless_h():
     dist = distance_matrix(make_cycle(4))
     empty = np.zeros(0, dtype=np.int64)
-    for backend in ("numba", "numpy"):
+    for backend in BACKENDS:
         counts, lo, hi, mw, xw = kernels.scan_sums(dist, empty, empty, backend=backend)
         assert counts.tolist() == [24]
         assert (lo, hi) == (0, 0)
@@ -98,12 +134,13 @@ def test_scan_sums_edgeless_h():
 def test_scan_sums_single_vertex():
     dist = np.zeros((1, 1), dtype=np.int64)
     empty = np.zeros(0, dtype=np.int64)
-    for backend in ("numba", "numpy"):
+    for backend in BACKENDS:
         counts, lo, hi, mw, xw = kernels.scan_sums(dist, empty, empty, backend=backend)
         assert counts.tolist() == [1]
         assert (lo, hi) == (0, 0)
 
 
+@needs_numba
 def test_canonical_backends_agree():
     rng = random.Random(907)
     for _ in range(25):
@@ -140,6 +177,36 @@ def test_automorphism_counts():
     for g, expected in cases:
         _, aut = kernels.canonical_code(kernels.adjacency_matrix(g.n, g.edges))
         assert aut == expected, g
+
+
+def _brute_force_canonical(n, edges):
+    """Minimum bit code over itertools.permutations, read as position ->
+    vertex, and the number of orderings attaining it."""
+    adj = [[0] * n for _ in range(n)]
+    for a, b in edges:
+        adj[a][b] = adj[b][a] = 1
+    pairs = list(itertools.combinations(range(n), 2))
+    codes = Counter()
+    for perm in itertools.permutations(range(n)):
+        code = 0
+        for i, j in pairs:
+            code = code << 1 | adj[perm[i]][perm[j]]
+        codes[code] += 1
+    best = min(codes)
+    return best, codes[best]
+
+
+def test_canonical_code_matches_brute_force():
+    rng = random.Random(4407)
+    for n in range(1, 8):
+        pairs = list(itertools.combinations(range(n), 2))
+        graphs = [[], pairs]
+        graphs += [[p for p in pairs if rng.random() < density] for density in (0.3, 0.6)]
+        for edges in graphs:
+            want = _brute_force_canonical(n, edges)
+            for backend in BACKENDS:
+                got = kernels.canonical_code(kernels.adjacency_matrix(n, edges), backend=backend)
+                assert got == want, (n, edges, backend)
 
 
 def test_edges_from_code_round_trip():

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from hamspec import kernels
+from hamspec import verify as verify_mod
 from hamspec.graphs import Graph, GraphError, build_graph, is_connected, parse_graph
 from hamspec.verify import (
     VerificationReport,
@@ -41,28 +42,37 @@ def _labeled_connected_counts(n_max):
     return counts[1:]
 
 
+def _bit_code(n, edges, perm):
+    """Adjacency bit code of the ordering perm (position -> vertex): the
+    upper triangle row by row, first pair in the most significant bit."""
+    edge_set = {frozenset(e) for e in edges}
+    code = 0
+    for i, j in itertools.combinations(range(n), 2):
+        code = code << 1 | (frozenset((perm[i], perm[j])) in edge_set)
+    return code
+
+
 def _brute_force_classes(n):
-    """Connected isomorphism classes by scanning every edge subset and
-    deduplicating with pure-python orbit minima (no kernel involved)."""
+    """Minimum bit codes of the connected isomorphism classes, by scanning
+    every edge subset and minimizing over every ordering in pure python (no
+    kernel involved)."""
     pairs = list(itertools.combinations(range(n), 2))
     perms = list(itertools.permutations(range(n)))
-    reps = set()
+    codes = set()
     for mask in range(1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
-        g = build_graph(n, edges)
-        if not is_connected(g):
-            continue
-        orbit_min = min(
-            tuple(sorted(tuple(sorted((p[a], p[b]))) for a, b in edges))
-            for p in perms
-        )
-        reps.add(orbit_min)
-    return reps
+        if is_connected(build_graph(n, edges)):
+            codes.add(min(_bit_code(n, edges, p) for p in perms))
+    return codes
 
 
 def test_enumeration_counts_match_brute_force():
+    # a representative's own code is its canonical code, so the enumeration's
+    # codes are read off with the identity ordering
     for n in range(1, 6):
-        assert len(enumerate_connected_graphs(n)) == len(_brute_force_classes(n))
+        identity = tuple(range(n))
+        got = {_bit_code(n, g.edges, identity) for g in enumerate_connected_graphs(n)}
+        assert got == _brute_force_classes(n), n
 
 
 def test_enumeration_counts_known():
@@ -154,6 +164,32 @@ def test_upper_bound_resume(tmp_path):
     assert second.passed
     assert second.instances_checked == first.instances_checked
     assert progress.read_text() == before
+
+
+def test_upper_bound_interrupt_keeps_progress(tmp_path, monkeypatch):
+    reference = tmp_path / "full.progress"
+    full = verify_upper_bound(5, progress_path=str(reference))
+    order = reference.read_text().splitlines()
+    check = verify_mod._check_upper_bound_item
+    calls = []
+
+    def interrupt_after_seven(*args):
+        if len(calls) == 7:
+            raise KeyboardInterrupt
+        calls.append(args)
+        return check(*args)
+
+    progress = tmp_path / "sweep.progress"
+    monkeypatch.setattr(verify_mod, "_check_upper_bound_item", interrupt_after_seven)
+    with pytest.raises(KeyboardInterrupt):
+        verify_upper_bound(5, progress_path=str(progress))
+    # the seven items that finished were recorded before the interrupt
+    assert progress.read_text().splitlines() == order[:7]
+
+    monkeypatch.setattr(verify_mod, "_check_upper_bound_item", check)
+    resumed = verify_upper_bound(5, progress_path=str(progress))
+    assert resumed == full
+    assert sorted(progress.read_text().splitlines()) == sorted(order)
 
 
 def test_upper_bound_validation():
