@@ -8,9 +8,9 @@ column per edge, gathered from the table (see code_columns). The class
 enumeration in verify.py uses those columns to extend one base graph to
 all its one-vertex extensions by subset sums; it takes about 0.2 s for the
 853 classes at n = 7 and about 18 s for the 11117 at n = 8 (Python 3.11,
-numpy 2.4, one core of a 2-core Xeon). For n >= 9 the scan generates
-permutations in chunks of _NUMPY_CHUNK instead of caching a table (26 MB
-at n = 9).
+numpy 2.4, one core of a 2-core Xeon). For n >= 9 the scan and the
+canonical code generate permutations in chunks of _NUMPY_CHUNK instead of
+caching a table (26 MB at n = 9).
 
 The numba backend compiles the scalar loops below; it is picked when numba
 imports cleanly. Set HAMSPEC_KERNEL to "numba" or "numpy" to force one; any
@@ -202,19 +202,37 @@ def code_columns(n: int, us, vs) -> np.ndarray:
     multiplicity are the canonical code and the automorphism count that
     _canonical_loop computes.
     """
+    perms = _permutation_table(n)
+    return _pair_weights(n)[perms[:, us], perms[:, vs]]
+
+
+def _pair_weights(n: int) -> np.ndarray:
+    """Symmetric matrix of the code bit each position pair sets, first pair highest."""
     rows, cols = np.triu_indices(n, k=1)
     weights = np.zeros((n, n), dtype=np.int64)
     weights[rows, cols] = np.int64(1) << np.arange(rows.size - 1, -1, -1, dtype=np.int64)
-    weights += weights.T
-    perms = _permutation_table(n)
-    return weights[perms[:, us], perms[:, vs]]
+    return weights + weights.T
 
 
 def _canonical_numpy(adj):
+    """Running minimum code and its count over the permutation chunks.
+
+    For n <= 8 the single chunk is the cached table, so this is the sum of
+    code_columns; past it no n! table is built or cached.
+    """
+    n = adj.shape[0]
     us, vs = np.nonzero(np.triu(adj, k=1))
-    codes = code_columns(adj.shape[0], us, vs).sum(axis=1)
-    best = int(codes.min())
-    return best, int((codes == best).sum())
+    weights = _pair_weights(n)
+    best = None
+    hits = 0
+    for perms in _permutation_chunks(n):
+        codes = weights[perms[:, us], perms[:, vs]].sum(axis=1)
+        low = int(codes.min())
+        if best is None or low < best:
+            best, hits = low, 0
+        if low == best:
+            hits += int((codes == low).sum())
+    return best, hits
 
 
 def scan_sums(dist: np.ndarray, hu: np.ndarray, hv: np.ndarray, backend: str | None = None):

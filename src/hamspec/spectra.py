@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .graphs import Graph, GraphError, distance_matrix, is_connected, make_cycle, make_path
+from .graphs import Graph, GraphError, adjacency, distance_matrix, is_connected, make_cycle, make_path
 
 # n! grows too fast for exhaustive scans much past this; callers may raise it.
 EXHAUSTIVE_CAP = 9
@@ -124,27 +124,105 @@ def spectrum(h: Graph, g: Graph, max_n: int = EXHAUSTIVE_CAP) -> SpectrumReport:
     )
 
 
+def _aut_orbit(adj: tuple[tuple[int, ...], ...], x0: int) -> set[int]:
+    """Vertices that some automorphism of the graph with neighbor tuples adj maps x0 to.
+
+    For each candidate x of x0's degree, backtracks for an automorphism
+    sending x0 to x: vertices are mapped in BFS order from x0 (the other
+    components after it), each to an unused vertex of the same degree whose
+    adjacency to every vertex mapped so far matches.
+    """
+    n = len(adj)
+    nbrs = [set(a) for a in adj]
+    seq = []
+    seen = [False] * n
+    for root in [x0, *range(n)]:
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = [root]
+        for v in queue:
+            for u in adj[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    queue.append(u)
+        seq += queue
+    sigma = [-1] * n
+    taken = [False] * n
+
+    def extend(k: int) -> bool:
+        if k == n:
+            return True
+        v = seq[k]
+        for w in range(n):
+            if taken[w] or len(adj[w]) != len(adj[v]):
+                continue
+            if any((u in nbrs[v]) != (sigma[u] in nbrs[w]) for u in seq[:k]):
+                continue
+            sigma[v] = w
+            taken[w] = True
+            if extend(k + 1):
+                return True
+            taken[w] = False
+        sigma[v] = -1
+        return False
+
+    orbit = set()
+    for x in range(n):
+        if len(adj[x]) != len(adj[x0]):
+            continue
+        sigma[x0] = x
+        taken[x] = True
+        if extend(1):
+            orbit.add(x)
+        sigma[:] = [-1] * n
+        taken[:] = [False] * n
+    return orbit
+
+
 def _branch_and_bound(h: Graph, g: Graph, sense: str) -> tuple[int, tuple[int, ...]]:
     """Exact extremal sum by depth-first assignment with admissible bounds.
 
-    H-vertices are placed in descending degree order; a partial assignment
-    is bounded by finished edges plus (remaining edges) * diameter for max,
-    or plus (remaining edges) * 1 for min, and pruned when it cannot beat
-    the incumbent strictly.
+    H-vertices are placed in descending degree order, and a partial
+    assignment is pruned when its bound cannot beat the incumbent strictly.
+    For min the bound is the finished edges plus 1 per remaining edge. For
+    max it is the finished edges plus the smaller of two bounds on the
+    remaining ones:
+
+    - each edge with one end u placed adds at most ecc_G(f(u)), and the
+      edges with no end placed add at most the sum of that many largest
+      distances over distinct pairs of G (distinct H-edges land on distinct
+      G-pairs);
+    - all remaining edges together add at most the sum of that many largest
+      distinct-pair distances.
+
+    Symmetries of H are broken on the first vertex x0: every orbit
+    {f . sigma : sigma in Aut(H)} has the same score and exactly one member
+    that maps x0 below every other vertex of x0's Aut(H)-orbit, so the other
+    orbit vertices only take G-vertices above f(x0). The witness is the first
+    optimum completed, which need not be the lexicographically smallest.
     """
     n = g.n
-    dg = distance_matrix(g)
-    diameter = int(dg.max())
-    h_adj = [[] for _ in range(n)]
-    for a, b in h.edges:
-        h_adj[a].append(b)
-        h_adj[b].append(a)
+    dg = distance_matrix(g).tolist()
+    ecc = [max(row) for row in dg]
+    top = [0]
+    for d in sorted((dg[a][b] for a in range(n) for b in range(a + 1, n)), reverse=True):
+        top.append(top[-1] + d)
+    h_adj = adjacency(h)
     order = sorted(range(n), key=lambda v: (-len(h_adj[v]), v))
     position = {v: k for k, v in enumerate(order)}
     placed_nbrs = [[u for u in h_adj[v] if position[u] < position[v]] for v in order]
+    later = [len(h_adj[v]) - len(placed_nbrs[k]) for k, v in enumerate(order)]
     remaining = [0] * (n + 1)
+    inner = [0] * (n + 1)
     for depth in range(n - 1, -1, -1):
         remaining[depth] = remaining[depth + 1] + len(placed_nbrs[depth])
+        inner[depth] = inner[depth + 1] + later[depth]
+    orbit = _aut_orbit(h_adj, order[0]) if n else set()
+    in_orbit = [depth > 0 and v in orbit for depth, v in enumerate(order)]
+    # the cap added by placing order[depth] on gv: its edges to later vertices
+    opening = [[k * e for e in ecc] for k in later]
+    zero_row = [0] * n
     maximize = sense == "max"
 
     fmap = [-1] * n
@@ -152,32 +230,46 @@ def _branch_and_bound(h: Graph, g: Graph, sense: str) -> tuple[int, tuple[int, .
     best_val = -1 if maximize else math.inf
     best_wit: tuple[int, ...] = ()
 
-    def search(depth: int, partial: int) -> None:
+    def search(depth: int, partial: int, cap: int) -> None:
         nonlocal best_val, best_wit
-        if maximize:
-            if partial + remaining[depth] * diameter <= best_val:
-                return
-        elif partial + remaining[depth] >= best_val:
-            return
         if depth == n:
             best_val = partial
             best_wit = tuple(fmap)
             return
         hv = order[depth]
-        nbrs = placed_nbrs[depth]
-        for gv in range(n):
+        images = [fmap[u] for u in placed_nbrs[depth]]
+        # gains[gv]: what placing hv on gv adds to the finished edges
+        if len(images) == 1:
+            gains = dg[images[0]]
+        else:
+            gains = list(map(sum, zip(zero_row, *[dg[x] for x in images])))
+        closed = cap
+        for x in images:
+            closed -= ecc[x]
+        opened = opening[depth]
+        inner_top = top[inner[depth + 1]]
+        remaining_top = top[remaining[depth + 1]]
+        left = remaining[depth + 1]
+        for gv in range(fmap[order[0]] + 1 if in_orbit[depth] else 0, n):
             if used[gv]:
                 continue
-            gained = partial
-            for u in nbrs:
-                gained += int(dg[gv, fmap[u]])
+            gained = partial + gains[gv]
+            child_cap = closed + opened[gv]
+            if maximize:
+                bound = child_cap + inner_top
+                if bound > remaining_top:
+                    bound = remaining_top
+                if gained + bound <= best_val:
+                    continue
+            elif gained + left >= best_val:
+                continue
             used[gv] = True
             fmap[hv] = gv
-            search(depth + 1, gained)
+            search(depth + 1, gained, child_cap)
             used[gv] = False
         fmap[hv] = -1
 
-    search(0, 0)
+    search(0, 0, 0)
     return int(best_val), best_wit
 
 
@@ -191,8 +283,11 @@ def extremal_number(
     """Minimum or maximum achievable sum, with a witness bijection.
 
     method='exhaustive' scans all n! bijections (lexicographically smallest
-    witness); method='bnb' prunes with distance bounds and returns the first
-    optimal witness it completes.
+    witness); method='bnb' searches depth-first with admissible bounds (for
+    max, the smaller of an eccentricity-plus-distinct-pairs bound and a
+    distinct-pairs bound) and Aut(H)-orbit symmetry breaking, and returns
+    the first optimal witness it completes: an optimum, not necessarily the
+    lexicographically smallest (see _branch_and_bound).
     """
     _check_same_order(h, g)
     if not is_connected(g):

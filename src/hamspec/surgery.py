@@ -34,6 +34,15 @@ ARM_B = "arm_b"
 NEITHER = "neither"
 
 
+class InvariantError(AssertionError):
+    """A rewiring invariant failed; raised rather than asserted, so it holds under python -O."""
+
+
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise InvariantError(message)
+
+
 @dataclass(frozen=True)
 class LeafTriple:
     """Three distinct leaves: the two future path ends and a spur to fold in."""
@@ -79,10 +88,10 @@ def find_junction(t: Graph, triple: LeafTriple) -> Junction:
     meet = next(i for i, v in enumerate(walk) if v in on_trunk)
     # a leaf spur cannot start on the trunk, and a trunk end cannot be the
     # fork, else that end would have degree >= 2
-    assert meet >= 1, "spur lies on the trunk"
+    _require(meet >= 1, "spur lies on the trunk")
     fork = walk[meet]
     position = trunk.index(fork)
-    assert 0 < position < len(trunk) - 1, "fork landed on a trunk end"
+    _require(0 < position < len(trunk) - 1, "fork landed on a trunk end")
     return Junction(
         fork=fork,
         stub=walk[meet - 1],
@@ -124,7 +133,7 @@ def classify_pair(
     steps = {frozenset(pair) for pair in zip(path, path[1:])}
     uses_a = frozenset((junction.fork, junction.arm_a)) in steps
     uses_b = frozenset((junction.fork, junction.arm_b)) in steps
-    assert not (uses_a and uses_b), "tree path used both fork arms"
+    _require(not (uses_a and uses_b), "tree path used both fork arms")
     if uses_a:
         return ARM_A
     if uses_b:
@@ -206,7 +215,7 @@ def choose_transform(t: Graph, h: Graph, f, triple: LeafTriple) -> TransformStep
     after = to_a if choice == "end_a" else to_b
     sum_before = pseudo_sum(h, t, f)
     sum_after = pseudo_sum(h, after, f)
-    assert sum_after >= sum_before, "rewiring lowered the sum"
+    _require(sum_after >= sum_before, "rewiring lowered the sum")
     step = TransformStep(
         before=t,
         triple=triple,
@@ -220,7 +229,7 @@ def choose_transform(t: Graph, h: Graph, f, triple: LeafTriple) -> TransformStep
         weight_before=branching_weight(t),
         weight_after=branching_weight(after),
     )
-    assert step.weight_after < step.weight_before, "branching weight failed to drop"
+    _require(step.weight_after < step.weight_before, "branching weight failed to drop")
     return step
 
 
@@ -236,12 +245,12 @@ def _next_triple(t: Graph) -> LeafTriple:
 def _run_to_path(initial: Graph, tree: Graph, h: Graph, f) -> TransformTrace:
     initial_sum = pseudo_sum(h, initial, f)
     tree_sum = pseudo_sum(h, tree, f)
-    assert tree_sum >= initial_sum, "spanning tree shortened a distance"
+    _require(tree_sum >= initial_sum, "spanning tree shortened a distance")
     steps = []
     current = tree
     budget = branching_weight(tree)
     while not _is_path_graph(current):
-        assert len(steps) < max(budget, 1), "rewiring failed to terminate"
+        _require(len(steps) < max(budget, 1), "rewiring failed to terminate")
         step = choose_transform(current, h, f, _next_triple(current))
         steps.append(step)
         current = step.after

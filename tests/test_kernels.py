@@ -179,6 +179,24 @@ def test_automorphism_counts():
         assert aut == expected, g
 
 
+def test_canonical_code_past_the_table_caches_nothing():
+    # n = 9 runs over permutation chunks with a running minimum, and must not
+    # leave a 9! table (26 MB) in the cache
+    kernels._permutation_table.cache_clear()
+    for g, expected in ((make_path(9), 2), (make_cycle(9), 18)):
+        _, aut = kernels.canonical_code(kernels.adjacency_matrix(g.n, g.edges))
+        assert aut == expected
+    rng = random.Random(9009)
+    edges = [(i, j) for i in range(9) for j in range(i + 1, 9) if rng.random() < 0.4]
+    perm = list(range(9))
+    rng.shuffle(perm)
+    relabeled = [(perm[a], perm[b]) for a, b in edges]
+    assert kernels.canonical_code(kernels.adjacency_matrix(9, edges)) == kernels.canonical_code(
+        kernels.adjacency_matrix(9, relabeled)
+    )
+    assert kernels._permutation_table.cache_info().currsize == 0
+
+
 def _brute_force_canonical(n, edges):
     """Minimum bit code over itertools.permutations, read as position ->
     vertex, and the number of orderings attaining it."""

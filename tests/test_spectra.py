@@ -9,9 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamspec.generate import random_bijection, random_connected_graph
-from hamspec.graphs import GraphError, build_graph, distance_matrix, make_complete, make_cycle, make_path
+from hamspec.graphs import (
+    GraphError,
+    adjacency,
+    build_graph,
+    distance_matrix,
+    make_complete,
+    make_cycle,
+    make_path,
+)
 from hamspec.spectra import (
     SpectrumReport,
+    _aut_orbit,
     classic_numbers,
     contains_subgraph,
     cyclic_sum,
@@ -171,6 +180,77 @@ def test_branch_and_bound_beyond_exhaustive_cap():
     value, witness = extremal_number(make_path(10), make_path(10), "min", method="bnb")
     assert value == 9
     assert pseudo_sum(make_path(10), make_path(10), witness) == 9
+
+
+def _assert_bnb_matches_scan(h, g):
+    rep = spectrum(h, g)
+    for sense, expected in (("min", rep.min), ("max", rep.max)):
+        value, witness = extremal_number(h, g, sense, method="bnb")
+        assert value == expected, (h.edges, g.edges, sense)
+        assert pseudo_sum(h, g, witness) == value
+
+
+# spine 0-1-2-3-4-5 with a leaf 6 on vertex 2: branches of lengths 2, 3 and 1
+# meet at 2, so no two vertices are interchangeable (the smallest rigid tree)
+RIGID_TREE = build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)])
+
+
+def test_aut_orbit_known_groups():
+    for n in (3, 6, 9):
+        assert _aut_orbit(adjacency(make_cycle(n)), 0) == set(range(n))
+    for n in (4, 7, 10):
+        assert _aut_orbit(adjacency(make_path(n)), 1) == {1, n - 2}
+        assert _aut_orbit(adjacency(make_path(n)), 0) == {0, n - 1}
+    star = build_graph(6, [(0, k) for k in range(1, 6)])
+    assert _aut_orbit(adjacency(star), 0) == {0}
+    assert _aut_orbit(adjacency(star), 3) == {1, 2, 3, 4, 5}
+    for v in range(RIGID_TREE.n):
+        assert _aut_orbit(adjacency(RIGID_TREE), v) == {v}
+    # a triangle and a disjoint path 3-4-5: vertex 4 has degree 2 but is fixed
+    mixed = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)])
+    assert _aut_orbit(adjacency(mixed), 0) == {0, 1, 2}
+    assert _aut_orbit(adjacency(mixed), 4) == {4}
+    assert _aut_orbit(adjacency(build_graph(5, [])), 2) == set(range(5))
+
+
+def test_branch_and_bound_symmetric_h():
+    # H with large automorphism groups, where a wrong orbit prunes optima
+    rng = random.Random(5150)
+    for n in range(2, 9):
+        shapes = [
+            make_path(n),
+            make_complete(n),
+            build_graph(n, []),
+            build_graph(n, [(0, k) for k in range(1, n)]),
+            build_graph(n, [(2 * k, 2 * k + 1) for k in range(n // 2)]),
+        ]
+        if n >= 3:
+            shapes.append(make_cycle(n))
+        if n >= 6:
+            # a triangle beside a path: same degrees, different orbits
+            shapes.append(build_graph(n, [(0, 1), (1, 2), (0, 2)] + [(k, k + 1) for k in range(3, n - 1)]))
+        if n >= 7:
+            shapes.append(build_graph(n, list(RIGID_TREE.edges) + [(6, k) for k in range(7, n)]))
+        for h in shapes:
+            for _ in range(3):
+                _assert_bnb_matches_scan(h, random_connected_graph(n, rng))
+
+
+def test_branch_and_bound_agrees_at_n9():
+    rng = random.Random(90901)
+    for h in (make_cycle(9), make_path(9), random_connected_graph(9, rng), random_connected_graph(9, rng)):
+        _assert_bnb_matches_scan(h, random_connected_graph(9, rng))
+
+
+def test_branch_and_bound_closed_forms_past_exhaustive_cap():
+    # on the path G the maximum open-tour sum is floor(n^2/2) - 1 and the
+    # maximum closed-tour sum floor(n^2/2); neither needs an n! scan to check
+    for n in (10, 11):
+        g = make_path(n)
+        for h, expected in ((make_path(n), n * n // 2 - 1), (make_cycle(n), n * n // 2)):
+            value, witness = extremal_number(h, g, "max", method="bnb")
+            assert value == expected
+            assert pseudo_sum(h, g, witness) == expected
 
 
 def test_classic_numbers_cycle():

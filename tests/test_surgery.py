@@ -1,12 +1,16 @@
 """Leaf-triple rewiring: junction anatomy, sum monotonicity, and traces."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hamspec
 from hamspec.generate import random_bijection, random_connected_graph, random_tree
 from hamspec.graphs import (
     GraphError,
@@ -312,6 +316,30 @@ def test_pathify_spider():
     for step in trace.steps:
         assert step.sum_after >= step.sum_before
         assert step.weight_after < step.weight_before
+
+
+OPTIMIZED_VIOLATION = """
+import sys
+import hamspec
+from hamspec import surgery
+surgery.branching_weight = lambda t: 5
+spider = hamspec.build_graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+try:
+    surgery.pathify(spider, hamspec.make_path(7), tuple(range(7)))
+except hamspec.InvariantError as exc:
+    print(sys.flags.optimize, isinstance(exc, AssertionError), exc)
+"""
+
+
+def test_invariants_hold_under_python_O():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hamspec.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_VIOLATION],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    # a branching weight that never drops must stop the run although -O strips asserts
+    assert result.stdout.strip() == "1 True branching weight failed to drop"
 
 
 def test_pathify_on_a_path_is_empty():
