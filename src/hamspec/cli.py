@@ -114,9 +114,7 @@ def _cmd_verify(args) -> int:
     if args.family == "closed-forms":
         report = verify_closed_forms(args.n)
     elif args.family == "upper-bound":
-        report = verify_upper_bound(
-            args.n, h_family=args.h_family, jobs=args.jobs, progress_path=args.resume
-        )
+        report = verify_upper_bound(args.n, h_family=args.h_family, progress_path=args.resume)
     elif args.family == "spanning-trees":
         report = verify_spanning_tree_characterization(args.n)
     else:
@@ -176,7 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("closed-forms", "upper-bound", "spanning-trees", "articulation"),
     )
     p.add_argument("--n", required=True, type=int, help="vertex count (or range cap)")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads (upper-bound only)")
     p.add_argument("--resume", default=None, help="progress file to skip completed work")
     p.add_argument(
         "--h-family",

@@ -77,7 +77,12 @@ def make_complete(n: int) -> Graph:
     return Graph(n, tuple(itertools.combinations(range(n), 2)))
 
 
-@lru_cache(maxsize=None)
+# holds all 853 connected classes at n = 7 plus the path during a sweep,
+# while the intermediate trees of long pathify runs are evicted
+_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def adjacency(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Neighbor tuple per vertex, each sorted ascending."""
     nbrs = [[] for _ in range(g.n)]
@@ -118,7 +123,7 @@ def is_tree(g: Graph) -> bool:
     return len(g.edges) == g.n - 1 and is_connected(g)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs shortest-path lengths by BFS from every vertex.
 
@@ -251,7 +256,29 @@ def spanning_trees(g: Graph) -> list[Graph]:
 
 
 def first_spanning_tree(g: Graph) -> Graph:
-    return next(_spanning_tree_iter(g))
+    """The spanning tree that _spanning_tree_iter yields first.
+
+    Kruskal's algorithm over the sorted edges: greedy on the graphic
+    matroid returns its lexicographically first basis, which is the first
+    connected (n-1)-subset of the edges.
+    """
+    if not is_connected(g):
+        raise GraphError("spanning trees require a connected graph")
+    root = list(range(g.n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    chosen = []
+    for a, b in g.edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            root[ra] = rb
+            chosen.append((a, b))
+    return Graph(g.n, tuple(chosen))
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,7 @@ def spectrum(h: Graph, g: Graph, max_n: int = EXHAUSTIVE_CAP) -> SpectrumReport:
     """Every achievable sum over all bijections, with multiplicities.
 
     Witnesses are the lexicographically smallest bijections attaining the
-    extremes, so reports are reproducible across runs and backends.
+    extremes, so reports are reproducible across runs.
     """
     _check_same_order(h, g)
     if not is_connected(g):

@@ -11,7 +11,6 @@ failures pin down the offending graphs in graph6 form.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,13 +27,13 @@ from .graphs import (
     make_path,
     non_articulation_vertex,
     render_graph,
-    spanning_trees,
+    _spanning_tree_iter,
 )
 from .spectra import extremal_number
 
-# n=8 holds 11117 classes; enumerating them takes about 18 s on the numpy
-# backend (0.2 s at n=7; timings in the kernels module docstring), too slow
-# for an interactive sweep, so the cap stays at 7.
+# n=8 holds 11117 classes; enumerating them takes about 18 s (0.2 s at n=7;
+# timings in the kernels module docstring), too slow for an interactive
+# sweep, so the cap stays at 7.
 ENUMERATION_CAP = 7
 
 
@@ -162,7 +161,6 @@ def _check_upper_bound_item(h: Graph, g: Graph, bound: int, n: int):
 def verify_upper_bound(
     n: int,
     h_family: str = "canonical",
-    jobs: int = 1,
     progress_path: str | None = None,
 ) -> VerificationReport:
     """The n-vertex path maximizes the maximum sum, uniquely, for every H.
@@ -181,43 +179,28 @@ def verify_upper_bound(
     if progress_path and os.path.exists(progress_path):
         with open(progress_path, "r", encoding="ascii") as fh:
             done = {line.strip() for line in fh if line.strip()}
-    items = []
-    skipped = 0
-    for h_name, h in hs:
-        bound, _ = extremal_number(h, make_path(n), "max", max_n=n)
-        for g in graphs:
-            key = f"{render_graph(g)}|{h_name}"
-            if key in done:
-                skipped += 1
-                continue
-            items.append((key, h, g, bound))
-
-    def run(item):
-        key, h, g, bound = item
-        return key, _check_upper_bound_item(h, g, bound, n)
-
     failures = []
+    checked = 0
     log = open(progress_path, "a", encoding="ascii") if progress_path else None
-    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
     try:
-        # threads overlap only inside kernels that release the GIL, as the
-        # numba ones do; on the numpy backend jobs=2 is no faster than jobs=1
-        results = pool.map(run, items) if pool else map(run, items)
-        for key, problem in results:
-            if problem is None:
-                if log:
-                    log.write(key + "\n")
-                    log.flush()
-            else:
-                failures.append((key, problem))
+        for h_name, h in hs:
+            bound, _ = extremal_number(h, make_path(n), "max", max_n=n)
+            for g in graphs:
+                checked += 1
+                key = f"{render_graph(g)}|{h_name}"
+                if key in done:
+                    continue
+                problem = _check_upper_bound_item(h, g, bound, n)
+                if problem is None:
+                    if log:
+                        log.write(key + "\n")
+                        log.flush()
+                else:
+                    failures.append((key, problem))
     finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
         if log:
             log.close()
-    return VerificationReport(
-        "upper-bound", len(items) + skipped, tuple(sorted(failures))
-    )
+    return VerificationReport("upper-bound", checked, tuple(sorted(failures)))
 
 
 def verify_spanning_tree_characterization(n_max: int) -> VerificationReport:
@@ -233,7 +216,8 @@ def verify_spanning_tree_characterization(n_max: int) -> VerificationReport:
     for n in range(2, n_max + 1):
         for g in enumerate_connected_graphs(n):
             checked += 1
-            all_paths = all(classify_shape(t) == "path" for t in spanning_trees(g))
+            # stops at the first spanning tree that is not a path
+            all_paths = all(classify_shape(t) == "path" for t in _spanning_tree_iter(g))
             expected = classify_shape(g) in ("path", "cycle")
             if all_paths != expected:
                 failures.append(

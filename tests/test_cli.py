@@ -139,7 +139,7 @@ def test_verify_families(files, capsys):
     code, out, _ = run(capsys, "verify", "articulation", "--n", "4")
     assert code == 0
     code, out, _ = run(
-        capsys, "verify", "upper-bound", "--n", "4", "--h-family", "all", "--jobs", "2"
+        capsys, "verify", "upper-bound", "--n", "4", "--h-family", "all"
     )
     assert code == 0
     payload_code, out, _ = run(capsys, "verify", "closed-forms", "--n", "5", "--format", "json")

@@ -1,6 +1,7 @@
 """Graph construction, formats, and structural queries."""
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from hamspec.graphs import (
     FormatError,
+    _spanning_tree_iter,
     Graph,
     GraphError,
     build_graph,
@@ -205,6 +207,31 @@ def test_first_spanning_tree():
     assert first_spanning_tree(SPIDER) == SPIDER
     with pytest.raises(GraphError):
         first_spanning_tree(build_graph(3, [(0, 1)]))
+
+
+def test_first_spanning_tree_is_the_first_enumerated():
+    rng = random.Random(3000)
+    checked = 0
+    while checked < 300:
+        n = rng.randint(1, 8)
+        density = rng.choice((0.3, 0.5, 0.8))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        g = build_graph(n, [p for p in pairs if rng.random() < density])
+        if not is_connected(g):
+            continue
+        assert first_spanning_tree(g) == next(_spanning_tree_iter(g)), g
+        checked += 1
+
+
+def test_first_spanning_tree_clique_plus_chain():
+    # K7 on 0..6 with a chain 6, 7, ..., 29: the lexicographic subset search
+    # tries every cyclic 29-subset first and took 30 s already at n = 15
+    core = [(a, b) for a in range(7) for b in range(a + 1, 7)]
+    g = build_graph(30, core + [(v, v + 1) for v in range(6, 29)])
+    started = time.perf_counter()
+    tree = first_spanning_tree(g)
+    assert time.perf_counter() - started < 1.0
+    assert tree == build_graph(30, [(0, b) for b in range(1, 7)] + [(v, v + 1) for v in range(6, 29)])
 
 
 def test_graph6_known_strings():

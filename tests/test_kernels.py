@@ -1,7 +1,4 @@
-"""Correctness of the permutation-scan kernels, and backend agreement.
-
-Only the tests that compare against the numba backend need numba; the rest
-run on whichever backends are importable, checked against pure-python
+"""Correctness of the permutation-scan kernels, checked against pure-python
 brute force.
 """
 
@@ -15,66 +12,7 @@ import pytest
 
 from hamspec import kernels
 from hamspec.graphs import build_graph, distance_matrix, make_complete, make_cycle, make_path
-
-BACKENDS = ("numba", "numpy") if kernels.HAVE_NUMBA else ("numpy",)
-needs_numba = pytest.mark.skipif(
-    not kernels.HAVE_NUMBA, reason="agreement tests compare against the numba backend"
-)
-
-
-def _random_instance(rng, n):
-    tree = [(rng.randrange(i), i) for i in range(1, n)]
-    extra = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rng.random() < 0.3 and (i, j) not in tree
-    ]
-    g = build_graph(n, tree + extra)
-    h_edges = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4
-    ]
-    hu = np.fromiter((a for a, _ in h_edges), dtype=np.int64, count=len(h_edges))
-    hv = np.fromiter((b for _, b in h_edges), dtype=np.int64, count=len(h_edges))
-    return distance_matrix(g), hu, hv
-
-
-def test_active_backend_env(monkeypatch):
-    default = "numba" if kernels.HAVE_NUMBA else "numpy"
-    monkeypatch.setenv("HAMSPEC_KERNEL", "numpy")
-    assert kernels.active_backend() == "numpy"
-    monkeypatch.setenv("HAMSPEC_KERNEL", "numba")
-    if kernels.HAVE_NUMBA:
-        assert kernels.active_backend() == "numba"
-    else:
-        with pytest.raises(RuntimeError):
-            kernels.active_backend()
-    monkeypatch.setenv("HAMSPEC_KERNEL", "anything-else")
-    assert kernels.active_backend() == default
-    monkeypatch.delenv("HAMSPEC_KERNEL")
-    assert kernels.active_backend() == default
-
-
-def test_resolve_rejects_unknown():
-    dist = distance_matrix(make_path(3))
-    empty = np.zeros(0, dtype=np.int64)
-    with pytest.raises(ValueError):
-        kernels.scan_sums(dist, empty, empty, backend="cuda")
-
-
-@needs_numba
-def test_scan_sums_backends_agree():
-    rng = random.Random(2471)
-    for _ in range(25):
-        n = rng.randint(1, 7)
-        dist, hu, hv = _random_instance(rng, n)
-        counts_a, min_a, max_a, mw_a, xw_a = kernels.scan_sums(dist, hu, hv, backend="numba")
-        counts_b, min_b, max_b, mw_b, xw_b = kernels.scan_sums(dist, hu, hv, backend="numpy")
-        assert np.array_equal(counts_a, counts_b)
-        assert (min_a, max_a) == (min_b, max_b)
-        assert np.array_equal(mw_a, mw_b)
-        assert np.array_equal(xw_a, xw_b)
-        assert counts_a.sum() == math.factorial(n)
+from hamspec.spectra import _branch_and_bound, pseudo_sum
 
 
 def _brute_force_scan(dist, h_edges):
@@ -102,54 +40,53 @@ def test_scan_sums_witnesses_are_lex_smallest():
             build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 4)]),
             build_graph(5, [(0, 2), (1, 3), (2, 4), (0, 1)]),
         ),
-        # n! = _NUMPY_CHUNK: one pass over the cached permutation table
+        # table route: one pass over the cached 8! permutation table
         (g8, build_graph(8, [(0, 3), (1, 6), (2, 7), (3, 5), (4, 6), (0, 7)])),
-        # n! > _NUMPY_CHUNK: permutations generated chunk by chunk
+        # block route: one block of the 8! table per first vertex
         (g9, make_path(9)),
     ]
-    assert math.factorial(8) <= kernels._NUMPY_CHUNK < math.factorial(9)
     for g, h in instances:
         dist = distance_matrix(g)
         hu = np.array([a for a, _ in h.edges], dtype=np.int64)
         hv = np.array([b for _, b in h.edges], dtype=np.int64)
         want, first = _brute_force_scan(dist, h.edges)
-        for backend in BACKENDS:
-            counts, lo, hi, mw, xw = kernels.scan_sums(dist, hu, hv, backend=backend)
-            assert {s: int(c) for s, c in enumerate(counts) if c} == dict(want)
-            assert (lo, hi) == (min(want), max(want))
-            assert tuple(mw) == first[lo]
-            assert tuple(xw) == first[hi]
+        counts, lo, hi, mw, xw = kernels.scan_sums(dist, hu, hv)
+        assert {s: int(c) for s, c in enumerate(counts) if c} == dict(want)
+        assert (lo, hi) == (min(want), max(want))
+        assert tuple(mw) == first[lo]
+        assert tuple(xw) == first[hi]
+
+
+def test_scan_sums_two_vertex_prefix():
+    # n = 10 runs 90 blocks, each a two-vertex prefix over the 8! table
+    rng = random.Random(1010)
+    g = build_graph(10, [(rng.randrange(i), i) for i in range(1, 10)] + [(0, 9), (3, 7)])
+    h = make_cycle(10)
+    hu = np.array([a for a, _ in h.edges], dtype=np.int64)
+    hv = np.array([b for _, b in h.edges], dtype=np.int64)
+    counts, lo, hi, mw, xw = kernels.scan_sums(distance_matrix(g), hu, hv)
+    assert counts.sum() == math.factorial(10)
+    assert lo == _branch_and_bound(h, g, "min")[0]
+    assert hi == _branch_and_bound(h, g, "max")[0]
+    assert pseudo_sum(h, g, tuple(mw)) == lo
+    assert pseudo_sum(h, g, tuple(xw)) == hi
 
 
 def test_scan_sums_edgeless_h():
     dist = distance_matrix(make_cycle(4))
     empty = np.zeros(0, dtype=np.int64)
-    for backend in BACKENDS:
-        counts, lo, hi, mw, xw = kernels.scan_sums(dist, empty, empty, backend=backend)
-        assert counts.tolist() == [24]
-        assert (lo, hi) == (0, 0)
-        assert tuple(mw) == tuple(xw) == (0, 1, 2, 3)
+    counts, lo, hi, mw, xw = kernels.scan_sums(dist, empty, empty)
+    assert counts.tolist() == [24]
+    assert (lo, hi) == (0, 0)
+    assert tuple(mw) == tuple(xw) == (0, 1, 2, 3)
 
 
 def test_scan_sums_single_vertex():
     dist = np.zeros((1, 1), dtype=np.int64)
     empty = np.zeros(0, dtype=np.int64)
-    for backend in BACKENDS:
-        counts, lo, hi, mw, xw = kernels.scan_sums(dist, empty, empty, backend=backend)
-        assert counts.tolist() == [1]
-        assert (lo, hi) == (0, 0)
-
-
-@needs_numba
-def test_canonical_backends_agree():
-    rng = random.Random(907)
-    for _ in range(25):
-        n = rng.randint(1, 7)
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
-        adj = kernels.adjacency_matrix(n, edges)
-        assert kernels.canonical_code(adj, backend="numba") == kernels.canonical_code(
-            adj, backend="numpy"
-        )
+    counts, lo, hi, mw, xw = kernels.scan_sums(dist, empty, empty)
+    assert counts.tolist() == [1]
+    assert (lo, hi) == (0, 0)
 
 
 def test_canonical_code_is_isomorphism_invariant():
@@ -180,8 +117,8 @@ def test_automorphism_counts():
 
 
 def test_canonical_code_past_the_table_caches_nothing():
-    # n = 9 runs over permutation chunks with a running minimum, and must not
-    # leave a 9! table (26 MB) in the cache
+    # n = 9 takes a running minimum over blocks of the cached 8! table, and
+    # must not build or cache a 9! table (26 MB)
     kernels._permutation_table.cache_clear()
     for g, expected in ((make_path(9), 2), (make_cycle(9), 18)):
         _, aut = kernels.canonical_code(kernels.adjacency_matrix(g.n, g.edges))
@@ -194,7 +131,9 @@ def test_canonical_code_past_the_table_caches_nothing():
     assert kernels.canonical_code(kernels.adjacency_matrix(9, edges)) == kernels.canonical_code(
         kernels.adjacency_matrix(9, relabeled)
     )
-    assert kernels._permutation_table.cache_info().currsize == 0
+    assert kernels._permutation_table.cache_info().currsize == 1
+    assert kernels._permutation_table(8).shape == (math.factorial(8), 8)
+    assert kernels._permutation_table.cache_info().misses == 1
 
 
 def _brute_force_canonical(n, edges):
@@ -222,9 +161,8 @@ def test_canonical_code_matches_brute_force():
         graphs += [[p for p in pairs if rng.random() < density] for density in (0.3, 0.6)]
         for edges in graphs:
             want = _brute_force_canonical(n, edges)
-            for backend in BACKENDS:
-                got = kernels.canonical_code(kernels.adjacency_matrix(n, edges), backend=backend)
-                assert got == want, (n, edges, backend)
+            got = kernels.canonical_code(kernels.adjacency_matrix(n, edges))
+            assert got == want, (n, edges)
 
 
 def test_edges_from_code_round_trip():

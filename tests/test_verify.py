@@ -141,12 +141,6 @@ def test_upper_bound_all_h():
     assert report.instances_checked == 36
 
 
-def test_upper_bound_jobs_agree():
-    solo = verify_upper_bound(5)
-    pooled = verify_upper_bound(5, jobs=4)
-    assert solo == pooled
-
-
 def test_upper_bound_resume(tmp_path):
     progress = tmp_path / "sweep.progress"
     first = verify_upper_bound(4, progress_path=str(progress))
