@@ -22,6 +22,7 @@ from .graphs import (
     GraphError,
     build_graph,
     classify_shape,
+    distance_matrix,
     is_connected,
     make_cycle,
     make_path,
@@ -29,12 +30,17 @@ from .graphs import (
     render_graph,
     _spanning_tree_iter,
 )
-from .spectra import extremal_number
+from .spectra import _edge_arrays, extremal_number
 
 # n=8 holds 11117 classes; enumerating them takes about 18 s (0.2 s at n=7;
-# timings in the kernels module docstring), too slow for an interactive
-# sweep, so the cap stays at 7.
+# timings in the kernels module docstring), while scoring them all against
+# one H takes about 1 s, so enumeration is what keeps the cap at 7.
 ENUMERATION_CAP = 7
+
+# graphs scored per kernels.max_sums call in verify_upper_bound: all 853 at
+# n = 7. Each call builds its own incidence matrix (about 10 ms at n = 8),
+# and an interrupt loses at most the block in hand.
+_SWEEP_BLOCK = 1024
 
 
 @lru_cache(maxsize=None)
@@ -146,8 +152,11 @@ def _upper_bound_items(n: int, h_family: str):
     return hs, graphs
 
 
-def _check_upper_bound_item(h: Graph, g: Graph, bound: int, n: int):
-    value, _ = extremal_number(h, g, "max", max_n=n)
+def _upper_bound_key(g: Graph, h_name: str) -> str:
+    return f"{render_graph(g)}|{h_name}"
+
+
+def _check_upper_bound_item(g: Graph, value: int, bound: int):
     shape = classify_shape(g)
     if value > bound:
         return f"max sum {value} exceeds path bound {bound}"
@@ -167,10 +176,13 @@ def verify_upper_bound(
 
     For each H in the family and every connected G on n vertices, the
     maximum sum over bijections is at most the value attained when G is the
-    path, with equality exactly when G is the path. A progress file (one key
-    per line) lets an interrupted sweep resume: recorded keys are skipped
-    but still counted. Only passing items are recorded, so failures are
-    re-examined on resume.
+    path, with equality exactly when G is the path. The bound comes from
+    one exhaustive scan of the path, apart from the batch; the graphs are
+    scored _SWEEP_BLOCK at a time by kernels.max_sums, also exhaustive, so
+    every value reported is exact. A progress file (one key per line) lets
+    an interrupted sweep resume: recorded keys are skipped but still
+    counted, and an interrupt loses at most the block in hand. Only passing
+    items are recorded, so failures are re-examined on resume.
     """
     if n < 2:
         raise GraphError(f"upper-bound sweeps start at n=2, got {n}")
@@ -185,18 +197,22 @@ def verify_upper_bound(
     try:
         for h_name, h in hs:
             bound, _ = extremal_number(h, make_path(n), "max", max_n=n)
-            for g in graphs:
-                checked += 1
-                key = f"{render_graph(g)}|{h_name}"
-                if key in done:
-                    continue
-                problem = _check_upper_bound_item(h, g, bound, n)
-                if problem is None:
-                    if log:
-                        log.write(key + "\n")
-                        log.flush()
-                else:
-                    failures.append((key, problem))
+            hu, hv = _edge_arrays(h)
+            checked += len(graphs)
+            todo = graphs
+            if done:
+                todo = [g for g in graphs if _upper_bound_key(g, h_name) not in done]
+            for lo in range(0, len(todo), _SWEEP_BLOCK):
+                block = todo[lo : lo + _SWEEP_BLOCK]
+                values = kernels.max_sums(np.stack([distance_matrix(g) for g in block]), hu, hv)
+                for g, value in zip(block, values.tolist()):
+                    problem = _check_upper_bound_item(g, value, bound)
+                    if problem is None:
+                        if log:
+                            log.write(_upper_bound_key(g, h_name) + "\n")
+                            log.flush()
+                    else:
+                        failures.append((_upper_bound_key(g, h_name), problem))
     finally:
         if log:
             log.close()

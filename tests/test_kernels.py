@@ -181,3 +181,51 @@ def test_edges_from_code_round_trip():
 def test_canonical_code_size_guard():
     with pytest.raises(ValueError):
         kernels.canonical_code(np.zeros((13, 13), dtype=np.int64))
+
+
+def _connected_stack(rng, n, k):
+    """k seeded connected graphs on n vertices (a random tree plus chords),
+    stacked as distance matrices."""
+    graphs = []
+    for _ in range(k):
+        edges = [(rng.randrange(i), i) for i in range(1, n)]
+        edges += [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.2]
+        graphs.append(build_graph(n, edges))
+    return np.stack([distance_matrix(g) for g in graphs])
+
+
+def _edge_arrays(edges):
+    hu = np.array([a for a, _ in edges], dtype=np.int64)
+    hv = np.array([b for _, b in edges], dtype=np.int64)
+    return hu, hv
+
+
+def test_max_sums_matches_scan_sums():
+    rng = random.Random(2718)
+    cases = []
+    for n in range(1, 10):
+        k = 2 if n == 9 else 7
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+        cases.append((_connected_stack(rng, n, k), edges))
+    # edgeless H: every sum, so every maximum, is 0
+    cases.append((_connected_stack(rng, 5, 3), []))
+    # a disconnected H: a triangle beside a path
+    cases.append((_connected_stack(rng, 7, 5), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6)]))
+    # more graphs than one tile of columns, and not a multiple of it
+    cases.append((_connected_stack(rng, 6, kernels._TILE_COLS + 44), list(make_cycle(6).edges)))
+    # k = 1, straight from the read-only distance_matrix cache
+    cases.append((distance_matrix(make_cycle(8))[None], list(make_path(8).edges)))
+    # a maximum found only in the last block: H is the star on centre 0, so
+    # a sum is the total distance from the image of 0; in G (the path
+    # 8-7-6-5-4 with 0, 1, 2, 3 hung on 4) only vertex 8 attains the
+    # maximum 30, and every permutation that maps 0 to 8 lies in the last
+    # of the nine blocks
+    broom = build_graph(9, [(8, 7), (7, 6), (6, 5), (5, 4), (0, 4), (1, 4), (2, 4), (3, 4)])
+    cases.append((distance_matrix(broom)[None], [(0, v) for v in range(1, 9)]))
+    for dists, edges in cases:
+        hu, hv = _edge_arrays(edges)
+        want = [kernels.scan_sums(d, hu, hv)[2] for d in dists]
+        got = kernels.max_sums(dists, hu, hv)
+        assert got.dtype == np.int64
+        assert got.tolist() == want, (dists.shape, edges)
+

@@ -7,7 +7,18 @@ import pytest
 
 from hamspec import kernels
 from hamspec import verify as verify_mod
-from hamspec.graphs import Graph, GraphError, build_graph, is_connected, parse_graph
+from hamspec.graphs import (
+    Graph,
+    GraphError,
+    build_graph,
+    classify_shape,
+    distance_matrix,
+    is_connected,
+    make_path,
+    parse_graph,
+    render_graph,
+)
+from hamspec.spectra import extremal_number
 from hamspec.verify import (
     VerificationReport,
     enumerate_connected_graphs,
@@ -184,6 +195,97 @@ def test_upper_bound_interrupt_keeps_progress(tmp_path, monkeypatch):
     resumed = verify_upper_bound(5, progress_path=str(progress))
     assert resumed == full
     assert sorted(progress.read_text().splitlines()) == sorted(order)
+
+
+def _reference_upper_bound(n, h_family):
+    """The sweep item by item: one exhaustive extremal_number scan per
+    (H, G), with the claim's three failure conditions written out here.
+    Returns the item count, the failures and (graph6, value) per item in
+    sweep order (H outer, G inner)."""
+    hs, graphs = verify_mod._upper_bound_items(n, h_family)
+    failures = []
+    values = []
+    for h_name, h in hs:
+        bound, _ = extremal_number(h, make_path(n), "max", max_n=n)
+        for g in graphs:
+            value, _ = extremal_number(h, g, "max", max_n=n)
+            values.append((render_graph(g), value))
+            shape = classify_shape(g)
+            if value > bound or (value == bound) != (shape == "path"):
+                failures.append((f"{render_graph(g)}|{h_name}", (value, bound, shape)))
+    return len(hs) * len(graphs), failures, values
+
+
+def test_upper_bound_matches_per_item_reference(monkeypatch):
+    check = verify_mod._check_upper_bound_item
+    seen = []
+
+    def record(g, value, bound):
+        seen.append((render_graph(g), value))
+        return check(g, value, bound)
+
+    monkeypatch.setattr(verify_mod, "_check_upper_bound_item", record)
+    for h_family in ("canonical", "all"):
+        for n in range(2, 7):
+            seen.clear()
+            report = verify_upper_bound(n, h_family=h_family)
+            checked, failures, values = _reference_upper_bound(n, h_family)
+            assert failures == []
+            assert report == VerificationReport("upper-bound", checked, ())
+            # every item's batched value is its own exhaustive maximum
+            assert seen == values, (h_family, n)
+
+
+def test_upper_bound_resume_scores_only_unrecorded(tmp_path, monkeypatch):
+    reference = tmp_path / "full.progress"
+    full = verify_upper_bound(6, progress_path=str(reference))
+    order = reference.read_text().splitlines()
+    progress = tmp_path / "sweep.progress"
+    progress.write_text("".join(key + "\n" for key in order[::3]))
+    max_sums = kernels.max_sums
+    scored = []
+
+    def count(dists, hu, hv):
+        scored.append(len(dists))
+        return max_sums(dists, hu, hv)
+
+    monkeypatch.setattr(verify_mod.kernels, "max_sums", count)
+    assert verify_upper_bound(6, progress_path=str(progress)) == full
+    assert sum(scored) == len(order) - len(order[::3])
+    assert sorted(progress.read_text().splitlines()) == sorted(order)
+
+
+def test_upper_bound_full_n7_sweep():
+    report = verify_upper_bound(7)
+    assert report.passed
+    assert report.instances_checked == 2 * CLASS_COUNTS[6] == 1706
+
+
+def test_upper_bound_failure_reports_the_batched_value(tmp_path, monkeypatch):
+    n = 5
+    target = enumerate_connected_graphs(n)[3]
+    bound, _ = extremal_number(make_path(n), make_path(n), "max", max_n=n)
+    target_dist = distance_matrix(target)
+    max_sums = kernels.max_sums
+
+    def raise_one(dists, hu, hv):
+        values = max_sums(dists, hu, hv)
+        # n - 1 edges: only for the path H, not the cycle
+        if len(hu) == n - 1:
+            for i, d in enumerate(dists):
+                if (d == target_dist).all():
+                    values[i] = bound + 3
+        return values
+
+    monkeypatch.setattr(verify_mod.kernels, "max_sums", raise_one)
+    progress = tmp_path / "sweep.progress"
+    report = verify_upper_bound(n, progress_path=str(progress))
+    key = f"{render_graph(target)}|path"
+    assert report.failures == ((key, f"max sum {bound + 3} exceeds path bound {bound}"),)
+    assert report.instances_checked == 2 * CLASS_COUNTS[n - 1]
+    recorded = progress.read_text().splitlines()
+    assert key not in recorded
+    assert len(recorded) == report.instances_checked - 1
 
 
 def test_upper_bound_validation():
