@@ -14,7 +14,7 @@ import json
 import sys
 
 from .graphs import Graph, GraphError, make_cycle, make_path, parse_graph
-from .spectra import extremal_number, spectrum
+from .spectra import extremal_number, isomorphic_via_h, spectrum
 from .surgery import format_trace, pathify, trace_to_dict
 from .verify import (
     format_report,
@@ -129,8 +129,6 @@ def _cmd_iso(args) -> int:
     if a.n != b.n or len(a.edges) != len(b.edges):
         same = False
     else:
-        from .spectra import isomorphic_via_h
-
         same = isomorphic_via_h(a, b)
     _emit(args, {"isomorphic": same}, "isomorphic" if same else "not isomorphic")
     return 0

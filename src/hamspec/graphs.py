@@ -9,7 +9,6 @@ and spanning-tree enumeration.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -101,22 +100,22 @@ def leaves(g: Graph) -> frozenset[int]:
     return frozenset(v for v, d in enumerate(degrees(g)) if d == 1)
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n == 1:
-        return True
-    adj = adjacency(g)
-    seen = bytearray(g.n)
-    seen[0] = 1
-    queue = deque([0])
-    reached = 1
-    while queue:
-        v = queue.popleft()
+def _bfs(adj, source: int) -> list[int]:
+    """Breadth-first distances from source over neighbour lists; -1 where unreached."""
+    dist = [-1] * len(adj)
+    dist[source] = 0
+    queue = [source]
+    for v in queue:
+        step = dist[v] + 1
         for w in adj[v]:
-            if not seen[w]:
-                seen[w] = 1
-                reached += 1
+            if dist[w] < 0:
+                dist[w] = step
                 queue.append(w)
-    return reached == g.n
+    return dist
+
+
+def is_connected(g: Graph) -> bool:
+    return -1 not in _bfs(adjacency(g), 0)
 
 
 def is_tree(g: Graph) -> bool:
@@ -130,21 +129,11 @@ def distance_matrix(g: Graph) -> np.ndarray:
     Returns a read-only (n, n) int64 array; requires a connected graph so
     every entry is finite.
     """
-    if not is_connected(g):
-        raise GraphError("distance matrix requires a connected graph")
     adj = adjacency(g)
-    dist = np.full((g.n, g.n), -1, dtype=np.int64)
-    for src in range(g.n):
-        row = dist[src]
-        row[src] = 0
-        queue = deque([src])
-        while queue:
-            v = queue.popleft()
-            dv = row[v]
-            for w in adj[v]:
-                if row[w] < 0:
-                    row[w] = dv + 1
-                    queue.append(w)
+    rows = [_bfs(adj, src) for src in range(g.n)]
+    if -1 in rows[0]:
+        raise GraphError("distance matrix requires a connected graph")
+    dist = np.array(rows, dtype=np.int64)
     dist.setflags(write=False)
     return dist
 
@@ -167,48 +156,33 @@ def classify_shape(g: Graph) -> str:
 
 def tree_path(t: Graph, a: int, b: int) -> tuple[int, ...]:
     """The unique path between two vertices of a tree, endpoints included."""
-    if not is_tree(t):
-        raise GraphError("tree_path requires a tree")
-    if not (0 <= a < t.n and 0 <= b < t.n):
-        raise GraphError(f"vertices ({a}, {b}) out of range for n={t.n}")
+    in_range = 0 <= a < t.n and 0 <= b < t.n
     adj = adjacency(t)
-    parent = [-1] * t.n
-    parent[a] = a
-    queue = deque([a])
-    while queue:
-        v = queue.popleft()
-        if v == b:
-            break
-        for w in adj[v]:
-            if parent[w] < 0:
-                parent[w] = v
-                queue.append(w)
+    # one BFS serves the tree check and the walk back from b
+    dist = _bfs(adj, a if in_range else 0)
+    if len(t.edges) != t.n - 1 or -1 in dist:
+        raise GraphError("tree_path requires a tree")
+    if not in_range:
+        raise GraphError(f"vertices ({a}, {b}) out of range for n={t.n}")
     path = [b]
     while path[-1] != a:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return tuple(path)
+        v = path[-1]
+        # in a tree exactly one neighbour lies one level closer to a
+        path.append(next(w for w in adj[v] if dist[w] < dist[v]))
+    return tuple(reversed(path))
 
 
 def component_after_cut(g: Graph, cut: tuple[int, int], seed: int) -> frozenset[int]:
     """Vertices reachable from seed once the edge cut is removed."""
     a, b = min(cut), max(cut)
-    if (a, b) not in set(g.edges):
+    adj = list(adjacency(g))
+    if not (0 <= a < g.n and b in adj[a]):
         raise GraphError(f"cut edge {cut!r} is not in the graph")
     if not (0 <= seed < g.n):
         raise GraphError(f"seed {seed} out of range for n={g.n}")
-    adj = adjacency(g)
-    seen = {seed}
-    queue = deque([seed])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if {v, w} == {a, b}:
-                continue
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return frozenset(seen)
+    adj[a] = [w for w in adj[a] if w != b]
+    adj[b] = [w for w in adj[b] if w != a]
+    return frozenset(v for v, d in enumerate(_bfs(adj, seed)) if d >= 0)
 
 
 def non_articulation_vertex(g: Graph) -> int:
@@ -223,16 +197,12 @@ def non_articulation_vertex(g: Graph) -> int:
         raise GraphError("articulation queries need a connected graph")
     adj = adjacency(g)
     for v in range(g.n):
-        rest = [u for u in range(g.n) if u != v]
-        seen = {rest[0]}
-        queue = deque([rest[0]])
-        while queue:
-            x = queue.popleft()
-            for w in adj[x]:
-                if w != v and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        if len(seen) == g.n - 1:
+        # v keeps its incoming edges but none outgoing, so it is reached
+        # without being passed through: the rest stays connected exactly
+        # when every vertex is reached
+        rest = list(adj)
+        rest[v] = ()
+        if -1 not in _bfs(rest, 1 if v == 0 else 0):
             return v
     raise GraphError("no removable vertex found in a connected graph")
 
@@ -284,26 +254,25 @@ def first_spanning_tree(g: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 # serialization
 
+# graph6 holds the upper triangle of the adjacency matrix as one integer,
+# read column by column with the first bit highest: pair (a, b), a < b, is
+# bit number b(b-1)/2 + a counted from the top. The bits are padded with
+# zeros to whole six-bit groups, each written as chr(63 + group).
 _G6_HEADER = ">>graph6<<"
 
 
 def _graph6_encode(g: Graph) -> str:
     if g.n > 62:
         raise FormatError(f"graph6 short form handles n <= 62, got {g.n}")
-    adj = np.zeros((g.n, g.n), dtype=bool)
+    need = g.n * (g.n - 1) // 2
+    value = 0
     for a, b in g.edges:
-        adj[a, b] = adj[b, a] = True
-    # upper triangle, column by column
-    bits = [int(adj[i, j]) for j in range(1, g.n) for i in range(j)]
-    while len(bits) % 6:
-        bits.append(0)
-    chars = [chr(g.n + 63)]
-    for k in range(0, len(bits), 6):
-        value = 0
-        for bit in bits[k:k + 6]:
-            value = (value << 1) | bit
-        chars.append(chr(value + 63))
-    return "".join(chars)
+        value |= 1 << (need - 1 - b * (b - 1) // 2 - a)
+    groups = (need + 5) // 6
+    value <<= 6 * groups - need
+    return chr(g.n + 63) + "".join(
+        chr(63 + (value >> shift & 63)) for shift in range(6 * groups - 6, -1, -6)
+    )
 
 
 def _graph6_decode(text: str) -> Graph:
@@ -318,22 +287,23 @@ def _graph6_decode(text: str) -> Graph:
     body = text[1:]
     if len(body) != (need + 5) // 6:
         raise FormatError(f"graph6 body has {len(body)} bytes, expected {(need + 5) // 6}")
-    bits = []
+    value = 0
     for ch in body:
-        value = ord(ch) - 63
-        if not (0 <= value < 64):
+        group = ord(ch) - 63
+        if not (0 <= group < 64):
             raise FormatError(f"graph6 byte {ch!r} out of range")
-        bits.extend((value >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[need:]):
+        value = value << 6 | group
+    pad = 6 * len(body) - need
+    if value & ((1 << pad) - 1):
         raise FormatError("nonzero padding bits in graph6 data")
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
-    return Graph(n, tuple(sorted(edges)))
+    value >>= pad
+    edges = tuple(
+        (a, b)
+        for a in range(n)
+        for b in range(a + 1, n)
+        if value >> (need - 1 - b * (b - 1) // 2 - a) & 1
+    )
+    return Graph(n, edges)
 
 
 def _edge_list_encode(g: Graph) -> str:

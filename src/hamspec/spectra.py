@@ -58,21 +58,16 @@ def pseudo_sum(h: Graph, g: Graph, f, dg: np.ndarray | None = None) -> int:
 
 def cyclic_sum(g: Graph, order) -> int:
     """Closed-tour sum: consecutive distances along order, plus the wrap-around."""
-    order = _check_bijection(order, g.n)
     if g.n < 3:
         raise GraphError(f"cyclic sums need n >= 3, got n={g.n}")
-    dg = distance_matrix(g)
-    total = sum(int(dg[order[i], order[i + 1]]) for i in range(g.n - 1))
-    return total + int(dg[order[-1], order[0]])
+    return pseudo_sum(make_cycle(g.n), g, order)
 
 
 def trail_sum(g: Graph, order) -> int:
     """Open-tour sum: consecutive distances along order, no wrap-around."""
-    order = _check_bijection(order, g.n)
     if g.n < 2:
         raise GraphError(f"trail sums need n >= 2, got n={g.n}")
-    dg = distance_matrix(g)
-    return sum(int(dg[order[i], order[i + 1]]) for i in range(g.n - 1))
+    return pseudo_sum(make_path(g.n), g, order)
 
 
 @dataclass(frozen=True)
@@ -318,20 +313,16 @@ def traceable_numbers(g: Graph, max_n: int = EXHAUSTIVE_CAP) -> tuple[int, int]:
     """Minimum and maximum open-tour sums; defined from n = 2 up."""
     if g.n < 2:
         raise GraphError(f"traceable numbers need n >= 2, got n={g.n}")
-    path = make_path(g.n)
-    lo, _ = extremal_number(path, g, "min", max_n=max_n)
-    hi, _ = extremal_number(path, g, "max", max_n=max_n)
-    return lo, hi
+    report = spectrum(make_path(g.n), g, max_n=max_n)
+    return report.min, report.max
 
 
 def hamiltonian_numbers(g: Graph, max_n: int = EXHAUSTIVE_CAP) -> tuple[int, int]:
     """Minimum and maximum closed-tour sums; defined from n = 3 up."""
     if g.n < 3:
         raise GraphError(f"hamiltonian numbers need n >= 3, got n={g.n}")
-    cycle = make_cycle(g.n)
-    lo, _ = extremal_number(cycle, g, "min", max_n=max_n)
-    hi, _ = extremal_number(cycle, g, "max", max_n=max_n)
-    return lo, hi
+    report = spectrum(make_cycle(g.n), g, max_n=max_n)
+    return report.min, report.max
 
 
 def classic_numbers(g: Graph, max_n: int = EXHAUSTIVE_CAP) -> ClassicNumbers:

@@ -63,7 +63,7 @@ def _connected_classes(n: int) -> tuple[Graph, ...]:
     return tuple(Graph(n, kernels.edges_from_code(n, code)) for code in sorted(seen))
 
 
-def enumerate_connected_graphs(n: int, max_n: int = ENUMERATION_CAP) -> tuple[Graph, ...]:
+def enumerate_connected_graphs(n: int) -> tuple[Graph, ...]:
     """One canonical representative per connected isomorphism class on n vertices.
 
     Representatives are rebuilt from their canonical codes, so canonicalizing
@@ -72,8 +72,8 @@ def enumerate_connected_graphs(n: int, max_n: int = ENUMERATION_CAP) -> tuple[Gr
     """
     if n < 1:
         raise GraphError(f"enumeration needs n >= 1, got {n}")
-    if n > max_n:
-        raise GraphError(f"enumeration cap is n <= {max_n}, got {n}")
+    if n > ENUMERATION_CAP:
+        raise GraphError(f"enumeration cap is n <= {ENUMERATION_CAP}, got {n}")
     return _connected_classes(n)
 
 
@@ -156,8 +156,7 @@ def _upper_bound_key(g: Graph, h_name: str) -> str:
     return f"{render_graph(g)}|{h_name}"
 
 
-def _check_upper_bound_item(g: Graph, value: int, bound: int):
-    shape = classify_shape(g)
+def _check_upper_bound_item(shape: str, value: int, bound: int):
     if value > bound:
         return f"max sum {value} exceeds path bound {bound}"
     if value == bound and shape != "path":
@@ -187,6 +186,7 @@ def verify_upper_bound(
     if n < 2:
         raise GraphError(f"upper-bound sweeps start at n=2, got {n}")
     hs, graphs = _upper_bound_items(n, h_family)
+    shaped = [(g, classify_shape(g)) for g in graphs]
     done = set()
     if progress_path and os.path.exists(progress_path):
         with open(progress_path, "r", encoding="ascii") as fh:
@@ -199,14 +199,14 @@ def verify_upper_bound(
             bound, _ = extremal_number(h, make_path(n), "max", max_n=n)
             hu, hv = _edge_arrays(h)
             checked += len(graphs)
-            todo = graphs
+            todo = shaped
             if done:
-                todo = [g for g in graphs if _upper_bound_key(g, h_name) not in done]
+                todo = [item for item in shaped if _upper_bound_key(item[0], h_name) not in done]
             for lo in range(0, len(todo), _SWEEP_BLOCK):
                 block = todo[lo : lo + _SWEEP_BLOCK]
-                values = kernels.max_sums(np.stack([distance_matrix(g) for g in block]), hu, hv)
-                for g, value in zip(block, values.tolist()):
-                    problem = _check_upper_bound_item(g, value, bound)
+                values = kernels.max_sums(np.stack([distance_matrix(g) for g, _ in block]), hu, hv)
+                for (g, shape), value in zip(block, values.tolist()):
+                    problem = _check_upper_bound_item(shape, value, bound)
                     if problem is None:
                         if log:
                             log.write(_upper_bound_key(g, h_name) + "\n")
@@ -234,13 +234,10 @@ def verify_spanning_tree_characterization(n_max: int) -> VerificationReport:
             checked += 1
             # stops at the first spanning tree that is not a path
             all_paths = all(classify_shape(t) == "path" for t in _spanning_tree_iter(g))
-            expected = classify_shape(g) in ("path", "cycle")
-            if all_paths != expected:
+            shape = classify_shape(g)
+            if all_paths != (shape in ("path", "cycle")):
                 failures.append(
-                    (
-                        render_graph(g),
-                        f"all-spanning-trees-are-paths={all_paths} but shape={classify_shape(g)}",
-                    )
+                    (render_graph(g), f"all-spanning-trees-are-paths={all_paths} but shape={shape}")
                 )
     return VerificationReport("spanning-trees", checked, tuple(sorted(failures)))
 

@@ -1,11 +1,14 @@
 """Command-line behaviour: outputs, formats, and exit codes."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+import hamspec
 from hamspec import cli
 from hamspec.graphs import build_graph, make_cycle, make_path, render_graph
 from hamspec.verify import VerificationReport
@@ -226,3 +229,39 @@ def test_installed_entry_point(files):
     )
     assert proc.returncode == 0
     assert proc.stdout == "6\n"
+
+
+def _run_module(*args):
+    """Run a Python process with the checkout's src first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hamspec.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_module_entry_point_exit_codes(files, tmp_path):
+    proc = _run_module("-m", "hamspec.cli", "number", "--h", "cycle", "--g", files["c4"], "--sense", "max")
+    assert (proc.returncode, proc.stdout) == (0, "6\n")
+    proc = _run_module("-m", "hamspec.cli", "verify", "articulation", "--n", "4")
+    assert proc.returncode == 0
+    assert proc.stdout.endswith("result: PASS\n")
+    bad_name = tmp_path / "c4.txt"
+    bad_name.write_text(render_graph(make_cycle(4)))
+    proc = _run_module("-m", "hamspec.cli", "spectrum", "--h", "cycle", "--g", str(bad_name))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert ".g6 or .edges" in proc.stderr
+    proc = _run_module("-m", "hamspec.cli", "spectrum", "--h", "cycle")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    # every claim holds, so a counterexample is planted before the module
+    # runs as __main__, the way -m runs it
+    plant = (
+        "import runpy, hamspec.verify as v; "
+        "v.verify_closed_forms = lambda n: v.VerificationReport("
+        "'closed-forms', 1, (('Bw|n=3', 'got 5, expected 4'),)); "
+        "runpy.run_module('hamspec.cli', run_name='__main__')"
+    )
+    proc = _run_module("-c", plant, "verify", "closed-forms", "--n", "3")
+    assert proc.returncode == 3
+    assert proc.stdout == "claim: closed-forms\nchecked: 1\nFAIL Bw|n=3: got 5, expected 4\nresult: FAIL (1)\n"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamspec.generate import random_connected_graph, random_tree
 from hamspec.graphs import (
     FormatError,
     _spanning_tree_iter,
@@ -31,6 +32,7 @@ from hamspec.graphs import (
     spanning_trees,
     tree_path,
 )
+from hamspec.verify import enumerate_connected_graphs
 
 SPIDER = build_graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
 
@@ -118,6 +120,25 @@ def test_distance_matrix_cycle():
     assert d.max() == 2
 
 
+def _floyd_warshall(g: Graph) -> np.ndarray:
+    d = np.full((g.n, g.n), g.n, dtype=np.int64)
+    np.fill_diagonal(d, 0)
+    for a, b in g.edges:
+        d[a, b] = d[b, a] = 1
+    for k in range(g.n):
+        d = np.minimum(d, d[:, k, None] + d[None, k, :])
+    return d
+
+
+def test_distance_matrix_matches_floyd_warshall():
+    rng = random.Random(4040)
+    for _ in range(40):
+        n = rng.randint(1, 40)
+        chords = (n - 1) * (n - 2) // 2
+        g = random_connected_graph(n, rng, extra_edges=rng.randint(0, min(2 * n, chords)))
+        assert np.array_equal(distance_matrix(g), _floyd_warshall(g)), render_graph(g)
+
+
 def test_distance_matrix_requires_connected():
     with pytest.raises(GraphError):
         distance_matrix(build_graph(3, [(0, 1)]))
@@ -146,13 +167,29 @@ def test_tree_path():
         tree_path(SPIDER, 0, 9)
 
 
+def test_tree_path_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(6060)
+    for _ in range(5):
+        t = random_tree(60, rng)
+        nxt = nx.Graph(t.edges)
+        for _ in range(100):
+            a, b = rng.randrange(60), rng.randrange(60)
+            assert tree_path(t, a, b) == tuple(nx.shortest_path(nxt, a, b)), (render_graph(t), a, b)
+
+
 def test_component_after_cut():
     assert component_after_cut(SPIDER, (0, 5), 5) == frozenset({5, 6})
     assert component_after_cut(SPIDER, (5, 0), 0) == frozenset({0, 1, 2, 3, 4})
+    assert component_after_cut(SPIDER, (5, 0), 5) == component_after_cut(SPIDER, (0, 5), 5)
     # cutting a cycle edge disconnects nothing
     assert component_after_cut(make_cycle(4), (0, 1), 0) == frozenset(range(4))
     with pytest.raises(GraphError):
         component_after_cut(SPIDER, (2, 4), 2)
+    # out of range: -1 must not wrap around to vertex 6, whose neighbour is 5
+    for cut in ((5, -1), (6, 7), (7, 8)):
+        with pytest.raises(GraphError):
+            component_after_cut(SPIDER, cut, 5)
 
 
 def test_non_articulation_vertex():
@@ -165,6 +202,33 @@ def test_non_articulation_vertex():
         non_articulation_vertex(Graph(1, ()))
     with pytest.raises(GraphError):
         non_articulation_vertex(build_graph(3, [(0, 1)]))
+
+
+def _removable(g: Graph, v: int) -> bool:
+    """Brute force: union-find over the edges that avoid v."""
+    root = list(range(g.n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for a, b in g.edges:
+        if v not in (a, b):
+            root[find(a)] = find(b)
+    return len({find(u) for u in range(g.n) if u != v}) == 1
+
+
+def test_non_articulation_vertex_is_smallest_removable():
+    rng = random.Random(5050)
+    for n in range(2, 7):
+        for g in enumerate_connected_graphs(n):
+            relabel = list(range(n))
+            rng.shuffle(relabel)
+            shuffled = build_graph(n, [(relabel[a], relabel[b]) for a, b in g.edges])
+            for h in (g, shuffled):
+                expected = next(v for v in range(n) if _removable(h, v))
+                assert non_articulation_vertex(h) == expected, render_graph(h)
 
 
 def _kirchhoff_count(g: Graph) -> int:
@@ -266,15 +330,17 @@ def test_graph6_rejects_malformed():
 def test_graph6_matches_networkx():
     nx = pytest.importorskip("networkx")
     rng = random.Random(99)
-    for _ in range(40):
-        n = rng.randint(1, 12)
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
-        g = build_graph(n, edges)
+    sizes = [rng.randint(1, 12) for _ in range(40)] + list(range(13, 63))
+    cases = [make_complete(62), make_complete(13), make_path(62), Graph(62, ())]
+    for n in sizes:
+        cases.append(build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]))
+    for g in cases:
         nxg = nx.Graph()
-        nxg.add_nodes_from(range(n))
-        nxg.add_edges_from(edges)
+        nxg.add_nodes_from(range(g.n))
+        nxg.add_edges_from(g.edges)
         theirs = nx.to_graph6_bytes(nxg, header=False).decode().strip()
         assert render_graph(g) == theirs
+        assert parse_graph(theirs) == g
         back = nx.from_graph6_bytes(render_graph(g).encode())
         assert build_graph(back.number_of_nodes(), back.edges()) == g
 

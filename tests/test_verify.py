@@ -125,8 +125,6 @@ def test_enumeration_guards():
         enumerate_connected_graphs(0)
     with pytest.raises(GraphError):
         enumerate_connected_graphs(8)
-    with pytest.raises(GraphError):
-        enumerate_connected_graphs(5, max_n=4)
 
 
 def test_closed_forms_pass():
@@ -218,20 +216,33 @@ def _reference_upper_bound(n, h_family):
 
 def test_upper_bound_matches_per_item_reference(monkeypatch):
     check = verify_mod._check_upper_bound_item
-    seen = []
+    dist = verify_mod.distance_matrix
+    scored = []
+    checked_items = []
 
-    def record(g, value, bound):
-        seen.append((render_graph(g), value))
-        return check(g, value, bound)
+    # below n = 7 every sweep scores all graphs in one block per H, so the
+    # graphs fed to the distance stack line up with the checks that follow
+    def stack_row(g):
+        scored.append(g)
+        return dist(g)
 
+    def record(shape, value, bound):
+        checked_items.append((shape, value))
+        return check(shape, value, bound)
+
+    monkeypatch.setattr(verify_mod, "distance_matrix", stack_row)
     monkeypatch.setattr(verify_mod, "_check_upper_bound_item", record)
     for h_family in ("canonical", "all"):
         for n in range(2, 7):
-            seen.clear()
+            scored.clear()
+            checked_items.clear()
             report = verify_upper_bound(n, h_family=h_family)
             checked, failures, values = _reference_upper_bound(n, h_family)
             assert failures == []
             assert report == VerificationReport("upper-bound", checked, ())
+            assert len(scored) == len(checked_items)
+            assert [shape for shape, _ in checked_items] == [classify_shape(g) for g in scored]
+            seen = [(render_graph(g), value) for g, (_, value) in zip(scored, checked_items)]
             # every item's batched value is its own exhaustive maximum
             assert seen == values, (h_family, n)
 
