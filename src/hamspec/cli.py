@@ -36,7 +36,7 @@ def _load_file(path: str) -> Graph:
         fmt = "edge-list"
     else:
         raise UsageError(f"graph files must end in .g6 or .edges, got {path!r}")
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         return parse_graph(fh.read(), fmt)
 
 

@@ -352,7 +352,14 @@ def render_graph(g: Graph, fmt: str = "graph6") -> str:
 
 def parse_graph(data, fmt: str = "graph6") -> Graph:
     """Decode 'graph6' or 'edge-list' text (str or bytes) into a Graph."""
-    text = data.decode("ascii") if isinstance(data, bytes) else data
+    text = data
+    if isinstance(data, bytes):
+        try:
+            text = data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"graph data is not ASCII: byte {data[exc.start]:#04x} at offset {exc.start}"
+            ) from None
     if fmt == "graph6":
         return _graph6_decode(text.strip())
     if fmt == "edge-list":

@@ -16,11 +16,13 @@ G-distances (one BLAS product per tile). It scores the 853 connected
 classes at n = 7 in about 0.01 s per H, where 853 scan_sums calls took
 about 0.3 s, and the 11117 at n = 8 in about 1 s per H.
 
-The canonical code of a graph under every ordering is a sum of one weight
-column per edge, gathered from the table (see code_columns). The class
-enumeration in verify.py uses those columns to extend one base graph to
-all its one-vertex extensions by subset sums; it takes about 0.2 s for the
-853 classes at n = 7 and about 18 s for the 11117 at n = 8. Timings are
+The code of a graph under every ordering is a sum of one weight column
+per edge, gathered from the cached table (see code_columns), so canonical
+codes exist for n <= 8 only: canonical_code is the minimum of those sums
+and the count of orderings that reach it. The class enumeration in
+verify.py uses the same columns to extend one base graph to all its
+one-vertex extensions by subset sums; it takes about 0.2 s for the 853
+classes at n = 7 and about 18 s for the 11117 at n = 8. Timings are
 Python 3.11, numpy 2.4, one core of a 2-core Xeon.
 """
 
@@ -170,38 +172,21 @@ def max_sums(dists: np.ndarray, hu: np.ndarray, hv: np.ndarray) -> np.ndarray:
     return best.astype(np.int64)
 
 
-def canonical_code(adj: np.ndarray) -> tuple[int, int]:
-    """Canonical bit code and automorphism count of an adjacency matrix.
+def canonical_code(n: int, edges) -> tuple[int, int]:
+    """Canonical bit code and automorphism count of a graph on n <= 8 vertices.
 
     The code is the minimum, over all orderings, of the upper triangle
     packed row by row with the first pair in the most significant bit; the
-    number of orderings attaining it is the automorphism group order. For
-    n <= 8 this is the sum of code_columns; past it the minimum and its
-    count run over the permutation blocks.
+    number of orderings attaining it is the automorphism group order. Both
+    are read from the code_columns sums; edges are distinct pairs (a, b)
+    with a != b.
     """
-    n = adj.shape[0]
-    if n * (n - 1) // 2 > 62:
-        raise ValueError(f"canonical code needs n*(n-1)/2 <= 62 bits, got n={n}")
-    us, vs = np.nonzero(np.triu(adj, k=1))
-    weights = _pair_weights(n)
-    best = None
-    hits = 0
-    for perms in _permutation_chunks(n):
-        codes = weights[perms[:, us], perms[:, vs]].sum(axis=1)
-        low = int(codes.min())
-        if best is None or low < best:
-            best, hits = low, 0
-        if low == best:
-            hits += int((codes == low).sum())
-    return best, hits
-
-
-def adjacency_matrix(n: int, edges) -> np.ndarray:
-    """Dense int64 0/1 adjacency matrix for the kernel entry points."""
-    adj = np.zeros((n, n), dtype=np.int64)
-    for a, b in edges:
-        adj[a, b] = adj[b, a] = 1
-    return adj
+    if n > _TABLE_N:
+        raise ValueError(f"canonical codes need n <= {_TABLE_N}, got n={n}")
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    codes = code_columns(n, pairs[:, 0], pairs[:, 1]).sum(axis=1)
+    best = int(codes.min())
+    return best, int((codes == best).sum())
 
 
 def edges_from_code(n: int, code: int) -> tuple[tuple[int, int], ...]:

@@ -36,23 +36,17 @@ def _check_bijection(f, n: int) -> tuple[int, ...]:
     return f
 
 
-def _check_cap(n: int, max_n: int) -> None:
-    if n > max_n:
-        raise GraphError(f"exhaustive scan over {n}! permutations exceeds cap n <= {max_n}")
-
-
 def _edge_arrays(h: Graph) -> tuple[np.ndarray, np.ndarray]:
     hu = np.fromiter((a for a, _ in h.edges), dtype=np.int64, count=len(h.edges))
     hv = np.fromiter((b for _, b in h.edges), dtype=np.int64, count=len(h.edges))
     return hu, hv
 
 
-def pseudo_sum(h: Graph, g: Graph, f, dg: np.ndarray | None = None) -> int:
+def pseudo_sum(h: Graph, g: Graph, f) -> int:
     """Sum of G-distances d(f(x), f(y)) over the edges {x, y} of H."""
     _check_same_order(h, g)
     f = _check_bijection(f, g.n)
-    if dg is None:
-        dg = distance_matrix(g)
+    dg = distance_matrix(g)
     return int(sum(dg[f[a], f[b]] for a, b in h.edges))
 
 
@@ -99,12 +93,14 @@ def spectrum(h: Graph, g: Graph, max_n: int = EXHAUSTIVE_CAP) -> SpectrumReport:
     """Every achievable sum over all bijections, with multiplicities.
 
     Witnesses are the lexicographically smallest bijections attaining the
-    extremes, so reports are reproducible across runs.
+    extremes, so reports are reproducible across runs. The scan covers all
+    n! bijections, so n above max_n is refused.
     """
     _check_same_order(h, g)
     if not is_connected(g):
         raise GraphError("spectrum needs a connected G")
-    _check_cap(g.n, max_n)
+    if g.n > max_n:
+        raise GraphError(f"exhaustive scan over {g.n}! permutations exceeds cap n <= {max_n}")
     dg = distance_matrix(g)
     hu, hv = _edge_arrays(h)
     counts, best_min, best_max, min_wit, max_wit = kernels.scan_sums(dg, hu, hv)
@@ -277,8 +273,9 @@ def extremal_number(
 ) -> tuple[int, tuple[int, ...]]:
     """Minimum or maximum achievable sum, with a witness bijection.
 
-    method='exhaustive' scans all n! bijections (lexicographically smallest
-    witness); method='bnb' searches depth-first with admissible bounds (for
+    method='exhaustive' reads the extreme and its witness (the
+    lexicographically smallest) from spectrum(h, g, max_n); method='bnb'
+    ignores max_n and searches depth-first with admissible bounds (for
     max, the smaller of an eccentricity-plus-distinct-pairs bound and a
     distinct-pairs bound) and Aut(H)-orbit symmetry breaking, and returns
     the first optimal witness it completes: an optimum, not necessarily the
@@ -293,13 +290,10 @@ def extremal_number(
         return _branch_and_bound(h, g, sense)
     if method != "exhaustive":
         raise GraphError(f"method must be 'exhaustive' or 'bnb', got {method!r}")
-    _check_cap(g.n, max_n)
-    dg = distance_matrix(g)
-    hu, hv = _edge_arrays(h)
-    _, best_min, best_max, min_wit, max_wit = kernels.scan_sums(dg, hu, hv)
+    report = spectrum(h, g, max_n)
     if sense == "min":
-        return best_min, tuple(int(x) for x in min_wit)
-    return best_max, tuple(int(x) for x in max_wit)
+        return report.min, report.min_witness
+    return report.max, report.max_witness
 
 
 class ClassicNumbers(NamedTuple):
@@ -309,41 +303,41 @@ class ClassicNumbers(NamedTuple):
     t_plus: int
 
 
-def traceable_numbers(g: Graph, max_n: int = EXHAUSTIVE_CAP) -> tuple[int, int]:
+def traceable_numbers(g: Graph) -> tuple[int, int]:
     """Minimum and maximum open-tour sums; defined from n = 2 up."""
     if g.n < 2:
         raise GraphError(f"traceable numbers need n >= 2, got n={g.n}")
-    report = spectrum(make_path(g.n), g, max_n=max_n)
+    report = spectrum(make_path(g.n), g)
     return report.min, report.max
 
 
-def hamiltonian_numbers(g: Graph, max_n: int = EXHAUSTIVE_CAP) -> tuple[int, int]:
+def hamiltonian_numbers(g: Graph) -> tuple[int, int]:
     """Minimum and maximum closed-tour sums; defined from n = 3 up."""
     if g.n < 3:
         raise GraphError(f"hamiltonian numbers need n >= 3, got n={g.n}")
-    report = spectrum(make_cycle(g.n), g, max_n=max_n)
+    report = spectrum(make_cycle(g.n), g)
     return report.min, report.max
 
 
-def classic_numbers(g: Graph, max_n: int = EXHAUSTIVE_CAP) -> ClassicNumbers:
+def classic_numbers(g: Graph) -> ClassicNumbers:
     """All four classic tour numbers (closed min/max, open min/max)."""
-    h_lo, h_hi = hamiltonian_numbers(g, max_n=max_n)
-    t_lo, t_hi = traceable_numbers(g, max_n=max_n)
+    h_lo, h_hi = hamiltonian_numbers(g)
+    t_lo, t_hi = traceable_numbers(g)
     return ClassicNumbers(h_lo, h_hi, t_lo, t_hi)
 
 
-def contains_subgraph(h: Graph, g: Graph, max_n: int = EXHAUSTIVE_CAP) -> bool:
+def contains_subgraph(h: Graph, g: Graph) -> bool:
     """True iff H is isomorphic to a subgraph of G (same vertex count).
 
     Equivalent to the minimum sum hitting its floor |E(H)|: a bijection
     achieves distance exactly 1 on every H-edge iff it embeds H into G.
     """
     _check_same_order(h, g)
-    value, _ = extremal_number(h, g, "min", max_n=max_n)
+    value, _ = extremal_number(h, g, "min")
     return value == len(h.edges)
 
 
-def isomorphic_via_h(h: Graph, g: Graph, max_n: int = EXHAUSTIVE_CAP) -> bool:
+def isomorphic_via_h(h: Graph, g: Graph) -> bool:
     """True iff G and H are isomorphic, decided through the minimum sum.
 
     Requires equal vertex and edge counts; then a subgraph embedding of H
@@ -354,4 +348,4 @@ def isomorphic_via_h(h: Graph, g: Graph, max_n: int = EXHAUSTIVE_CAP) -> bool:
         raise GraphError(
             f"edge counts differ: H has {len(h.edges)}, G has {len(g.edges)}"
         )
-    return contains_subgraph(h, g, max_n=max_n)
+    return contains_subgraph(h, g)

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import kernels
 from .graphs import (
+    FormatError,
     Graph,
     GraphError,
     build_graph,
@@ -36,11 +37,6 @@ from .spectra import _edge_arrays, extremal_number
 # timings in the kernels module docstring), while scoring them all against
 # one H takes about 1 s, so enumeration is what keeps the cap at 7.
 ENUMERATION_CAP = 7
-
-# graphs scored per kernels.max_sums call in verify_upper_bound: all 853 at
-# n = 7. Each call builds its own incidence matrix (about 10 ms at n = 8),
-# and an interrupt loses at most the block in hand.
-_SWEEP_BLOCK = 1024
 
 
 @lru_cache(maxsize=None)
@@ -176,21 +172,26 @@ def verify_upper_bound(
     For each H in the family and every connected G on n vertices, the
     maximum sum over bijections is at most the value attained when G is the
     path, with equality exactly when G is the path. The bound comes from
-    one exhaustive scan of the path, apart from the batch; the graphs are
-    scored _SWEEP_BLOCK at a time by kernels.max_sums, also exhaustive, so
-    every value reported is exact. A progress file (one key per line) lets
-    an interrupted sweep resume: recorded keys are skipped but still
-    counted, and an interrupt loses at most the block in hand. Only passing
-    items are recorded, so failures are re-examined on resume.
+    one exhaustive scan of the path, apart from the batch; the graphs' one
+    distance stack is scored against each H by one kernels.max_sums call,
+    also exhaustive, so every value reported is exact. A progress file (one
+    key per line) lets an interrupted sweep resume: recorded keys are
+    skipped but still counted, and an interrupt loses at most the H in
+    hand. Only passing items are recorded, so failures are re-examined on
+    resume.
     """
     if n < 2:
         raise GraphError(f"upper-bound sweeps start at n=2, got {n}")
     hs, graphs = _upper_bound_items(n, h_family)
-    shaped = [(g, classify_shape(g)) for g in graphs]
+    shapes = [classify_shape(g) for g in graphs]
+    dists = np.stack([distance_matrix(g) for g in graphs])
     done = set()
     if progress_path and os.path.exists(progress_path):
-        with open(progress_path, "r", encoding="ascii") as fh:
-            done = {line.strip() for line in fh if line.strip()}
+        try:
+            with open(progress_path, "r", encoding="ascii") as fh:
+                done = {line.strip() for line in fh if line.strip()}
+        except UnicodeDecodeError:
+            raise FormatError(f"progress file {progress_path!r} is not ASCII") from None
     failures = []
     checked = 0
     log = open(progress_path, "a", encoding="ascii") if progress_path else None
@@ -199,20 +200,22 @@ def verify_upper_bound(
             bound, _ = extremal_number(h, make_path(n), "max", max_n=n)
             hu, hv = _edge_arrays(h)
             checked += len(graphs)
-            todo = shaped
+            todo = range(len(graphs))
+            stack = dists
             if done:
-                todo = [item for item in shaped if _upper_bound_key(item[0], h_name) not in done]
-            for lo in range(0, len(todo), _SWEEP_BLOCK):
-                block = todo[lo : lo + _SWEEP_BLOCK]
-                values = kernels.max_sums(np.stack([distance_matrix(g) for g, _ in block]), hu, hv)
-                for (g, shape), value in zip(block, values.tolist()):
-                    problem = _check_upper_bound_item(shape, value, bound)
-                    if problem is None:
-                        if log:
-                            log.write(_upper_bound_key(g, h_name) + "\n")
-                            log.flush()
-                    else:
-                        failures.append((_upper_bound_key(g, h_name), problem))
+                todo = [i for i in todo if _upper_bound_key(graphs[i], h_name) not in done]
+                if not todo:
+                    continue
+                stack = dists[todo]
+            values = kernels.max_sums(stack, hu, hv)
+            for i, value in zip(todo, values.tolist()):
+                problem = _check_upper_bound_item(shapes[i], value, bound)
+                if problem is None:
+                    if log:
+                        log.write(_upper_bound_key(graphs[i], h_name) + "\n")
+                        log.flush()
+                else:
+                    failures.append((_upper_bound_key(graphs[i], h_name), problem))
     finally:
         if log:
             log.close()

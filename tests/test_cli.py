@@ -218,6 +218,26 @@ def test_domain_errors(files, capsys):
     assert code == 1
 
 
+def test_non_ascii_input_is_a_domain_error(tmp_path, capsys):
+    g6 = tmp_path / "accent.g6"
+    g6.write_bytes(b"C\xc3\xa9\n")
+    edges = tmp_path / "accent.edges"
+    edges.write_bytes(b"n 3\n0 1\n1 \xe2\x82\x82\n")
+    progress = tmp_path / "accent.progress"
+    progress.write_bytes(b"Bw|path\n\xc3\xa9|cycle\n")
+    for argv in (
+        ("spectrum", "--h", "cycle", "--g", str(g6)),
+        ("number", "--h", "path", "--g", str(edges), "--sense", "max"),
+        ("verify", "upper-bound", "--n", "3", "--resume", str(progress)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert "not ASCII" in err, argv
+    # the rejected progress file is left as it was
+    assert progress.read_bytes() == b"Bw|path\n\xc3\xa9|cycle\n"
+
+
 def test_installed_entry_point(files):
     exe = shutil.which("hamspec")
     if exe is None:

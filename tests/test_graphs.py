@@ -325,6 +325,11 @@ def test_graph6_rejects_malformed():
         render_graph(make_path(3), "nonsense")
     with pytest.raises(FormatError):
         parse_graph("Bw", "nonsense")
+    # bytes outside ASCII are malformed data, not a decoding crash
+    with pytest.raises(FormatError, match="byte 0xc3 at offset 1"):
+        parse_graph(b"C\xc3\xa9")
+    with pytest.raises(FormatError, match="not ASCII"):
+        parse_graph(b"n 2\n0 \xff\n", "edge-list")
 
 
 def test_graph6_matches_networkx():

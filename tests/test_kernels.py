@@ -58,13 +58,18 @@ def test_scan_sums_witnesses_are_lex_smallest():
 
 
 def test_scan_sums_two_vertex_prefix():
-    # n = 10 runs 90 blocks, each a two-vertex prefix over the 8! table
+    # n = 10 runs 90 blocks, each a two-vertex prefix over the 8! table,
+    # and builds or caches no larger table
+    kernels._permutation_table.cache_clear()
     rng = random.Random(1010)
     g = build_graph(10, [(rng.randrange(i), i) for i in range(1, 10)] + [(0, 9), (3, 7)])
     h = make_cycle(10)
     hu = np.array([a for a, _ in h.edges], dtype=np.int64)
     hv = np.array([b for _, b in h.edges], dtype=np.int64)
     counts, lo, hi, mw, xw = kernels.scan_sums(distance_matrix(g), hu, hv)
+    assert kernels._permutation_table.cache_info().currsize == 1
+    assert kernels._permutation_table(8).shape == (math.factorial(8), 8)
+    assert kernels._permutation_table.cache_info().misses == 1
     assert counts.sum() == math.factorial(10)
     assert lo == _branch_and_bound(h, g, "min")[0]
     assert hi == _branch_and_bound(h, g, "max")[0]
@@ -97,8 +102,8 @@ def test_canonical_code_is_isomorphism_invariant():
         perm = list(range(n))
         rng.shuffle(perm)
         relabeled = [(perm[a], perm[b]) for a, b in edges]
-        code_a, aut_a = kernels.canonical_code(kernels.adjacency_matrix(n, edges))
-        code_b, aut_b = kernels.canonical_code(kernels.adjacency_matrix(n, relabeled))
+        code_a, aut_a = kernels.canonical_code(n, edges)
+        code_b, aut_b = kernels.canonical_code(n, relabeled)
         assert code_a == code_b
         assert aut_a == aut_b
 
@@ -112,28 +117,8 @@ def test_automorphism_counts():
         (build_graph(1, []), 1),
     ]
     for g, expected in cases:
-        _, aut = kernels.canonical_code(kernels.adjacency_matrix(g.n, g.edges))
+        _, aut = kernels.canonical_code(g.n, g.edges)
         assert aut == expected, g
-
-
-def test_canonical_code_past_the_table_caches_nothing():
-    # n = 9 takes a running minimum over blocks of the cached 8! table, and
-    # must not build or cache a 9! table (26 MB)
-    kernels._permutation_table.cache_clear()
-    for g, expected in ((make_path(9), 2), (make_cycle(9), 18)):
-        _, aut = kernels.canonical_code(kernels.adjacency_matrix(g.n, g.edges))
-        assert aut == expected
-    rng = random.Random(9009)
-    edges = [(i, j) for i in range(9) for j in range(i + 1, 9) if rng.random() < 0.4]
-    perm = list(range(9))
-    rng.shuffle(perm)
-    relabeled = [(perm[a], perm[b]) for a, b in edges]
-    assert kernels.canonical_code(kernels.adjacency_matrix(9, edges)) == kernels.canonical_code(
-        kernels.adjacency_matrix(9, relabeled)
-    )
-    assert kernels._permutation_table.cache_info().currsize == 1
-    assert kernels._permutation_table(8).shape == (math.factorial(8), 8)
-    assert kernels._permutation_table.cache_info().misses == 1
 
 
 def _brute_force_canonical(n, edges):
@@ -161,7 +146,7 @@ def test_canonical_code_matches_brute_force():
         graphs += [[p for p in pairs if rng.random() < density] for density in (0.3, 0.6)]
         for edges in graphs:
             want = _brute_force_canonical(n, edges)
-            got = kernels.canonical_code(kernels.adjacency_matrix(n, edges))
+            got = kernels.canonical_code(n, edges)
             assert got == want, (n, edges)
 
 
@@ -170,17 +155,17 @@ def test_edges_from_code_round_trip():
     for _ in range(20):
         n = rng.randint(1, 7)
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
-        adj = kernels.adjacency_matrix(n, edges)
-        code, _ = kernels.canonical_code(adj)
+        code, _ = kernels.canonical_code(n, edges)
         rebuilt = kernels.edges_from_code(n, code)
-        rebuilt_code, _ = kernels.canonical_code(kernels.adjacency_matrix(n, rebuilt))
+        rebuilt_code, _ = kernels.canonical_code(n, rebuilt)
         assert rebuilt_code == code
         assert len(rebuilt) == len(edges)
 
 
 def test_canonical_code_size_guard():
+    # codes come from the cached 8! table only
     with pytest.raises(ValueError):
-        kernels.canonical_code(np.zeros((13, 13), dtype=np.int64))
+        kernels.canonical_code(9, make_path(9).edges)
 
 
 def _connected_stack(rng, n, k):

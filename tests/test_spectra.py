@@ -114,6 +114,16 @@ def test_spectrum_respects_cap():
     assert rep.min == 9
 
 
+def test_extremal_number_respects_cap():
+    p10 = make_path(10)
+    with pytest.raises(GraphError, match="exceeds cap"):
+        extremal_number(p10, p10, "max")
+    value, witness = extremal_number(p10, p10, "max", max_n=10)
+    # the open-tour closed form floor(n^2/2) - 1
+    assert value == 49
+    assert pseudo_sum(p10, p10, witness) == 49
+
+
 def test_spectrum_report_serialization():
     rep = spectrum(make_path(3), make_path(3))
     out = rep.to_dict()

@@ -96,7 +96,7 @@ def test_enumeration_cross_checks_labeled_counts():
     for n in range(1, 8):
         total = 0
         for g in enumerate_connected_graphs(n):
-            _, aut = kernels.canonical_code(kernels.adjacency_matrix(g.n, g.edges))
+            _, aut = kernels.canonical_code(g.n, g.edges)
             total += math.factorial(n) // aut
         assert total == LABELED_COUNTS[n - 1], n
 
@@ -105,7 +105,7 @@ def test_enumeration_representatives_are_canonical():
     for n in range(1, 7):
         for g in enumerate_connected_graphs(n):
             assert is_connected(g)
-            code, _ = kernels.canonical_code(kernels.adjacency_matrix(g.n, g.edges))
+            code, _ = kernels.canonical_code(g.n, g.edges)
             assert kernels.edges_from_code(n, code) == g.edges
 
 
@@ -113,7 +113,7 @@ def test_enumeration_is_deterministic_and_sorted():
     graphs = enumerate_connected_graphs(6)
     assert graphs == enumerate_connected_graphs(6)
     codes = [
-        kernels.canonical_code(kernels.adjacency_matrix(g.n, g.edges))[0]
+        kernels.canonical_code(g.n, g.edges)[0]
         for g in graphs
     ]
     assert codes == sorted(codes)
@@ -216,28 +216,21 @@ def _reference_upper_bound(n, h_family):
 
 def test_upper_bound_matches_per_item_reference(monkeypatch):
     check = verify_mod._check_upper_bound_item
-    dist = verify_mod.distance_matrix
-    scored = []
     checked_items = []
-
-    # below n = 7 every sweep scores all graphs in one block per H, so the
-    # graphs fed to the distance stack line up with the checks that follow
-    def stack_row(g):
-        scored.append(g)
-        return dist(g)
 
     def record(shape, value, bound):
         checked_items.append((shape, value))
         return check(shape, value, bound)
 
-    monkeypatch.setattr(verify_mod, "distance_matrix", stack_row)
     monkeypatch.setattr(verify_mod, "_check_upper_bound_item", record)
     for h_family in ("canonical", "all"):
         for n in range(2, 7):
-            scored.clear()
             checked_items.clear()
             report = verify_upper_bound(n, h_family=h_family)
             checked, failures, values = _reference_upper_bound(n, h_family)
+            # without a progress file every item is checked, H outer, G inner
+            hs, graphs = verify_mod._upper_bound_items(n, h_family)
+            scored = [g for _ in hs for g in graphs]
             assert failures == []
             assert report == VerificationReport("upper-bound", checked, ())
             assert len(scored) == len(checked_items)
@@ -264,6 +257,10 @@ def test_upper_bound_resume_scores_only_unrecorded(tmp_path, monkeypatch):
     assert verify_upper_bound(6, progress_path=str(progress)) == full
     assert sum(scored) == len(order) - len(order[::3])
     assert sorted(progress.read_text().splitlines()) == sorted(order)
+    # a complete progress file leaves nothing to score
+    scored.clear()
+    assert verify_upper_bound(6, progress_path=str(progress)) == full
+    assert scored == []
 
 
 def test_upper_bound_full_n7_sweep():
