@@ -312,6 +312,12 @@ def _edge_list_encode(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_number(token: str) -> bool:
+    """True for a token of ASCII digits only; str.isdigit alone also passes
+    other scripts' digits and superscripts."""
+    return token.isascii() and token.isdigit()
+
+
 def _edge_list_decode(text: str) -> Graph:
     n = None
     edges = []
@@ -323,17 +329,13 @@ def _edge_list_decode(text: str) -> Graph:
         if parts[0] == "n":
             if n is not None:
                 raise FormatError("duplicate vertex-count line")
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not _is_number(parts[1]):
                 raise FormatError(f"bad vertex-count line {raw!r}")
             n = int(parts[1])
             continue
-        if len(parts) != 2:
+        if len(parts) != 2 or not all(map(_is_number, parts)):
             raise FormatError(f"bad edge line {raw!r}")
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(f"bad edge line {raw!r}") from None
-        edges.append((a, b))
+        edges.append((int(parts[0]), int(parts[1])))
     if n is None:
         if not edges:
             raise FormatError("edge list has no 'n <count>' line and no edges")

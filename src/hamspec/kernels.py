@@ -1,13 +1,18 @@
 """Hot loops over all n! vertex bijections, as numpy gathers over one table.
 
 Every scan reads the cached lexicographic table of permutations, built
-once per n <= 8 (2.6 MB at n = 8). For n <= 8 that table is the whole
-scan; for n >= 9 the scan runs over lexicographic blocks, each one prefix
-of n - 8 vertices followed by the remaining vertices arranged by the 8!
-table, so no larger table is ever built (see _permutation_chunks). The
-blocks come in global lexicographic order, so the first permutation
-attaining an extreme is the lexicographically smallest one. A 9! sum scan
-takes about 0.08 s and a 10! one about 0.74 s.
+once per n <= 8 (2.6 MB at n = 8), in lexicographic blocks (see _blocks):
+a prefix of k = max(n - 8, 0) fixed vertices followed by the remaining
+vertices arranged by the table, so no larger table is ever built and for
+n <= 8 the one block is the table itself. The blocks come in global
+lexicographic order, so the first permutation attaining an extreme is the
+lexicographically smallest one.
+
+scan_sums works on position pairs: per block, each H-edge adds one take
+from a table of at most 64 distances to an int32 sum per permutation, at
+an index column that depends only on the edge's two positions, so it is
+built once per scan. A 9! sum scan takes about 0.01 s and a 10! one about
+0.08-0.09 s.
 
 max_sums needs only the maximum, for a whole stack of graphs against one
 H: per block, a 0/1 matrix with one row per permutation and one column
@@ -50,25 +55,20 @@ def _permutation_table(n: int) -> np.ndarray:
     return table
 
 
-def _permutation_chunks(n: int):
-    """Row blocks of all n! permutations of range(n), in lexicographic order.
+def _blocks(n: int):
+    """Lexicographic blocks of all n! permutations of range(n), as (prefix, rest).
 
-    For n <= 8 the one block is the cached table itself, not a copy. Past
-    it, each length-(n-8) prefix in lexicographic order gives one block:
-    the prefix followed by the remaining vertices, in ascending order,
-    permuted by the rows of the 8! table.
+    prefix runs over the tuples of k = max(n - 8, 0) distinct vertices in
+    lexicographic order, and rest holds the other n - k vertices in
+    ascending order, so for n <= 8 there is one block, ((), range(n)). The
+    block is the permutations prefix + rest[t] for the rows t of the cached
+    (n - k)! table, in that order, so the blocks come in global
+    lexicographic order and no table larger than 8! is built.
     """
-    if n <= _TABLE_N:
-        yield _permutation_table(n)
-        return
-    table = _permutation_table(_TABLE_N)
-    k = n - _TABLE_N
+    k = max(n - _TABLE_N, 0)
     for prefix in itertools.permutations(range(n), k):
-        rest = np.setdiff1d(np.arange(n, dtype=np.int64), prefix)
-        block = np.empty((table.shape[0], n), dtype=np.int64)
-        block[:, :k] = prefix
-        block[:, k:] = rest[table]
-        yield block
+        # not np.setdiff1d: its first call alone adds about 1.7 MB of RSS
+        yield prefix, np.array([v for v in range(n) if v not in prefix], dtype=np.int64)
 
 
 def code_columns(n: int, us, vs) -> np.ndarray:
@@ -110,25 +110,57 @@ def scan_sums(dist: np.ndarray, hu: np.ndarray, hv: np.ndarray):
     counts[s] is the number of permutations p with sum over edges k of
     dist[p[hu[k]], p[hv[k]]] equal to s, and each witness is the
     lexicographically first permutation attaining its extreme.
+
+    The scan works on position pairs. In a block (prefix, rest), an edge
+    with both ends past the prefix reads one entry of the block's
+    rest-by-rest distance table, at a flat pair index built once per scan
+    from two columns of the permutation table; an edge from a prefix
+    position reads the prefix vertex's distances to rest at one table
+    column; an edge inside the prefix adds a per-block constant. So each
+    edge costs one take from a table of at most 64 entries per block.
     """
     n = dist.shape[0]
+    k = max(n - _TABLE_N, 0)
+    s = n - k
+    table = _permutation_table(s)
+    # columns[j] is the index into rest of the vertex at position k + j
+    columns = np.ascontiguousarray(table.T, dtype=np.uint8)
+    pair_columns, prefix_edges, inner_edges = [], [], []
+    for u, v in zip(hu.tolist(), hv.tolist()):
+        if u >= k and v >= k:
+            pair_columns.append(columns[u - k] * np.uint8(s) + columns[v - k])
+        elif u >= k or v >= k:
+            p, j = (u, v) if u < k else (v, u)
+            prefix_edges.append((p, columns[j - k]))
+        else:
+            inner_edges.append((u, v))
     m = hu.shape[0]
     top = int(m * dist.max()) if m else 0
+    # a sum is at most m * diam(G) <= 66 * 11 for n <= 12, so int32 holds it
+    dist32 = dist.astype(np.int32)
+    sums = np.empty(table.shape[0], dtype=np.int32)
     counts = np.zeros(top + 1, dtype=np.int64)
     min_wit = np.zeros(n, dtype=np.int64)
     max_wit = np.zeros(n, dtype=np.int64)
     best_min, best_max = top + 1, -1
-    for perms in _permutation_chunks(n):
-        sums = dist[perms[:, hu], perms[:, hv]].sum(axis=1)
+    for prefix, rest in _blocks(n):
+        sums.fill(sum(int(dist[prefix[a], prefix[b]]) for a, b in inner_edges))
+        pair_dist = dist32[np.ix_(rest, rest)].ravel()
+        for col in pair_columns:
+            sums += pair_dist.take(col)
+        for p, col in prefix_edges:
+            sums += dist32[prefix[p], rest].take(col)
         counts += np.bincount(sums, minlength=top + 1)
-        k = int(sums.argmin())
-        if sums[k] < best_min:
-            best_min = int(sums[k])
-            min_wit[:] = perms[k]
-        k = int(sums.argmax())
-        if sums[k] > best_max:
-            best_max = int(sums[k])
-            max_wit[:] = perms[k]
+        i = int(sums.argmin())
+        if sums[i] < best_min:
+            best_min = int(sums[i])
+            min_wit[:k] = prefix
+            min_wit[k:] = rest[table[i]]
+        i = int(sums.argmax())
+        if sums[i] > best_max:
+            best_max = int(sums[i])
+            max_wit[:k] = prefix
+            max_wit[k:] = rest[table[i]]
     return counts, best_min, best_max, min_wit, max_wit
 
 
@@ -161,7 +193,14 @@ def max_sums(dists: np.ndarray, hu: np.ndarray, hv: np.ndarray) -> np.ndarray:
     width = max(1, min(k, _TILE_COLS))
     tile_rows = max(1, _TILE_MADDS // (width * max(rows.size, 1)))
     best = np.zeros(k, dtype=np.float64)
-    for perms in _permutation_chunks(n):
+    table = _permutation_table(min(n, _TABLE_N))
+    for prefix, rest in _blocks(n):
+        # for n <= 8 the block is the cached table itself, not a copy
+        perms = table
+        if prefix:
+            perms = np.empty((table.shape[0], n), dtype=np.int64)
+            perms[:, : len(prefix)] = prefix
+            perms[:, len(prefix) :] = rest[table]
         incidence = np.zeros((perms.shape[0], rows.size), dtype=np.float64)
         np.put_along_axis(incidence, index[perms[:, hu], perms[:, hv]], 1.0, axis=1)
         for lo in range(0, k, width):

@@ -380,5 +380,10 @@ def test_edge_list_rejects_malformed():
         parse_graph("n 3\nn 4\n", "edge-list")
     with pytest.raises(FormatError):
         parse_graph("n x\n", "edge-list")
+    # only ASCII digits are numbers: not Arabic-Indic two, not superscript two
+    with pytest.raises(FormatError):
+        parse_graph("n 3\n0 1\n1 \u0662\n", "edge-list")
+    with pytest.raises(FormatError):
+        parse_graph("n \u00b2\n", "edge-list")
     with pytest.raises(GraphError):
         parse_graph("n 2\n0 5\n", "edge-list")

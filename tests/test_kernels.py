@@ -35,21 +35,24 @@ def test_scan_sums_witnesses_are_lex_smallest():
     rng = random.Random(8128)
     g8 = build_graph(8, [(rng.randrange(i), i) for i in range(1, 8)] + [(0, 7), (2, 5)])
     g9 = build_graph(9, [(rng.randrange(i), i) for i in range(1, 9)] + [(1, 8)])
+    g9b = build_graph(9, [(rng.randrange(i), i) for i in range(1, 9)] + [(2, 7), (4, 8)])
     instances = [
         (
             build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 4)]),
-            build_graph(5, [(0, 2), (1, 3), (2, 4), (0, 1)]),
+            [(0, 2), (1, 3), (2, 4), (0, 1)],
         ),
         # table route: one pass over the cached 8! permutation table
-        (g8, build_graph(8, [(0, 3), (1, 6), (2, 7), (3, 5), (4, 6), (0, 7)])),
+        (g8, [(0, 3), (1, 6), (2, 7), (3, 5), (4, 6), (0, 7)]),
         # block route: one block of the 8! table per first vertex
-        (g9, make_path(9)),
+        (g9, list(make_path(9).edges)),
+        # edges at the prefix vertex 0 (one given reversed) read its
+        # distance row; the others read the suffix pair table
+        (g9b, [(0, 1), (0, 4), (8, 0), (2, 3), (5, 7), (3, 6)]),
     ]
-    for g, h in instances:
+    for g, edges in instances:
         dist = distance_matrix(g)
-        hu = np.array([a for a, _ in h.edges], dtype=np.int64)
-        hv = np.array([b for _, b in h.edges], dtype=np.int64)
-        want, first = _brute_force_scan(dist, h.edges)
+        hu, hv = _edge_arrays(edges)
+        want, first = _brute_force_scan(dist, edges)
         counts, lo, hi, mw, xw = kernels.scan_sums(dist, hu, hv)
         assert {s: int(c) for s, c in enumerate(counts) if c} == dict(want)
         assert (lo, hi) == (min(want), max(want))
@@ -75,6 +78,40 @@ def test_scan_sums_two_vertex_prefix():
     assert hi == _branch_and_bound(h, g, "max")[0]
     assert pseudo_sum(h, g, tuple(mw)) == lo
     assert pseudo_sum(h, g, tuple(xw)) == hi
+
+
+def _block_gather_scan(dist, hu, hv):
+    """Reference scan for n >= 9: each lexicographic block as a whole
+    (8!, n) permutation array, every edge distance gathered from it."""
+    n = dist.shape[0]
+    k = n - 8
+    table = np.array(list(itertools.permutations(range(8))), dtype=np.int64)
+    top = int(len(hu) * dist.max())
+    counts = np.zeros(top + 1, dtype=np.int64)
+    lo, hi = (top + 1, None), (-1, None)
+    for prefix in itertools.permutations(range(n), k):
+        rest = np.array([v for v in range(n) if v not in prefix], dtype=np.int64)
+        perms = np.hstack([np.tile(np.array(prefix, dtype=np.int64), (len(table), 1)), rest[table]])
+        sums = dist[perms[:, hu], perms[:, hv]].sum(axis=1)
+        counts += np.bincount(sums, minlength=top + 1)
+        i, j = int(sums.argmin()), int(sums.argmax())
+        if sums[i] < lo[0]:
+            lo = (int(sums[i]), tuple(perms[i]))
+        if sums[j] > hi[0]:
+            hi = (int(sums[j]), tuple(perms[j]))
+    return {s: int(c) for s, c in enumerate(counts) if c}, lo, hi
+
+
+def test_scan_sums_prefix_to_prefix_edge():
+    # n = 10 puts vertices 0 and 1 in the prefix, so edge (0, 1) is a
+    # per-block constant; the others cover the other two edge classes
+    rng = random.Random(1001)
+    g = build_graph(10, [(rng.randrange(i), i) for i in range(1, 10)] + [(1, 9), (3, 6)])
+    dist = distance_matrix(g)
+    hu, hv = _edge_arrays([(0, 1), (1, 5), (9, 0), (2, 3), (3, 8), (6, 7)])
+    counts, lo, hi, mw, xw = kernels.scan_sums(dist, hu, hv)
+    hist = {s: int(c) for s, c in enumerate(counts) if c}
+    assert (hist, (lo, tuple(mw)), (hi, tuple(xw))) == _block_gather_scan(dist, hu, hv)
 
 
 def test_scan_sums_edgeless_h():
