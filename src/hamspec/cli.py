@@ -111,10 +111,15 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.family != "upper-bound":
+        for flag, value in (("--resume", args.resume), ("--h-family", args.h_family)):
+            if value is not None:
+                raise UsageError(f"{flag} applies to upper-bound only, not {args.family}")
     if args.family == "closed-forms":
         report = verify_closed_forms(args.n)
     elif args.family == "upper-bound":
-        report = verify_upper_bound(args.n, h_family=args.h_family, progress_path=args.resume)
+        h_family = args.h_family or "canonical"
+        report = verify_upper_bound(args.n, h_family=h_family, progress_path=args.resume)
     elif args.family == "spanning-trees":
         report = verify_spanning_tree_characterization(args.n)
     else:
@@ -172,13 +177,13 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("closed-forms", "upper-bound", "spanning-trees", "articulation"),
     )
     p.add_argument("--n", required=True, type=int, help="vertex count (or range cap)")
-    p.add_argument("--resume", default=None, help="progress file to skip completed work")
+    p.add_argument("--resume", default=None, help="upper-bound progress file for skipping done work")
     p.add_argument(
         "--h-family",
         dest="h_family",
         choices=("canonical", "all"),
-        default="canonical",
-        help="H graphs for upper-bound: cycle and path, or every connected class",
+        default=None,
+        help="H graphs for upper-bound: cycle and path (the default), or every connected class",
     )
     add_format(p)
     p.set_defaults(func=_cmd_verify)

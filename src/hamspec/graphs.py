@@ -220,11 +220,6 @@ def _spanning_tree_iter(g: Graph):
             yield candidate
 
 
-def spanning_trees(g: Graph) -> list[Graph]:
-    """All spanning trees, ordered by their sorted edge tuples."""
-    return list(_spanning_tree_iter(g))
-
-
 def first_spanning_tree(g: Graph) -> Graph:
     """The spanning tree that _spanning_tree_iter yields first.
 

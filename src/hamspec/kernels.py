@@ -1,39 +1,41 @@
-"""Hot loops over all n! vertex bijections, as numpy gathers over one table.
+"""Hot loops over all n! vertex bijections, as numpy takes from one table.
 
-Every scan reads the cached lexicographic table of permutations, built
-once per n <= 8 (2.6 MB at n = 8), in lexicographic blocks (see _blocks):
-a prefix of k = max(n - 8, 0) fixed vertices followed by the remaining
-vertices arranged by the table, so no larger table is ever built and for
-n <= 8 the one block is the table itself. The blocks come in global
-lexicographic order, so the first permutation attaining an extreme is the
-lexicographically smallest one.
+Every kernel asks one question of each permutation p: which pair
+{p[u], p[v]} does each edge (u, v) of H land on? _landings answers it, for
+any symmetric matrix, over the cached lexicographic table of permutations,
+built once per n <= 8 (2.6 MB at n = 8), in lexicographic blocks: a prefix
+of k = max(n - 8, 0) fixed vertices followed by the remaining vertices
+arranged by the table, so no larger table is ever built and for n <= 8 the
+one block is the table itself. The blocks come in global lexicographic
+order, so the first permutation attaining an extreme is the
+lexicographically smallest one. Per block, each edge is one take from a
+table of at most 64 entries, at an index column that depends only on the
+edge's two positions and so is built once per walk.
 
-scan_sums works on position pairs: per block, each H-edge adds one take
-from a table of at most 64 distances to an int32 sum per permutation, at
-an index column that depends only on the edge's two positions, so it is
-built once per scan. A 9! sum scan takes about 0.01 s and a 10! one about
-0.08-0.09 s.
+Three kernels read that one walk, each with its own matrix:
 
-max_sums needs only the maximum, for a whole stack of graphs against one
-H: per block, a 0/1 matrix with one row per permutation and one column
-per position pair, marking where H's edges land, times the matrix of
-G-distances (one BLAS product per tile). It scores the 853 connected
-classes at n = 7 in about 0.01 s per H, where 853 scan_sums calls took
-about 0.3 s, and the 11117 at n = 8 in about 1 s per H.
+- scan_sums reads G's distances and adds them up per permutation: the
+  spectrum, its extremes and their witnesses. A 9! scan takes about
+  0.01 s and a 10! one about 0.08 s.
+- max_sums reads the index of each position pair and marks where H's
+  edges land in a 0/1 matrix, one row per permutation; its product with
+  the G-distances of a whole stack of graphs gives every sum. It scores
+  the 853 connected classes at n = 7 in about 0.01 s per H, and the 11117
+  at n = 8 in about 1 s per H.
+- code_columns reads the code bit of each position pair, for n <= 8 only:
+  a graph's code under every ordering is the sum of its edges' columns,
+  and the minimum is its canonical code. The class enumeration in
+  verify.py extends one base graph to all its one-vertex extensions by
+  subset sums of those columns; it takes about 0.1-0.2 s for the 853
+  classes at n = 7 and about 18 s for the 11117 at n = 8.
 
-The code of a graph under every ordering is a sum of one weight column
-per edge, gathered from the cached table (see code_columns), so canonical
-codes exist for n <= 8 only: canonical_code is the minimum of those sums
-and the count of orderings that reach it. The class enumeration in
-verify.py uses the same columns to extend one base graph to all its
-one-vertex extensions by subset sums; it takes about 0.2 s for the 853
-classes at n = 7 and about 18 s for the 11117 at n = 8. Timings are
-Python 3.11, numpy 2.4, one core of a 2-core Xeon.
+Timings are Python 3.11, numpy 2.4, one core of a 2-core Xeon.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -55,36 +57,71 @@ def _permutation_table(n: int) -> np.ndarray:
     return table
 
 
-def _blocks(n: int):
-    """Lexicographic blocks of all n! permutations of range(n), as (prefix, rest).
+def _landings(matrix: np.ndarray, edges):
+    """Yield (prefix, rest, values) per lexicographic block of the n! permutations p.
 
     prefix runs over the tuples of k = max(n - 8, 0) distinct vertices in
-    lexicographic order, and rest holds the other n - k vertices in
-    ascending order, so for n <= 8 there is one block, ((), range(n)). The
-    block is the permutations prefix + rest[t] for the rows t of the cached
-    (n - k)! table, in that order, so the blocks come in global
-    lexicographic order and no table larger than 8! is built.
+    lexicographic order and rest holds the other vertices in ascending
+    order; the block is prefix + rest[t] for the rows t of the cached
+    (n - k)! table. values yields matrix[p[u], p[v]] over the block, one
+    entry per edge (u, v), in edge order: a take from the rest-by-rest table
+    at a flat pair column when both ends are past the prefix, a take from
+    the prefix vertex's row over rest when one end is, and one number when
+    neither is. matrix must be symmetric, so either orientation reads the
+    same. Drop each column before asking for the next: holding two at once
+    made 10! scans about 30% slower.
     """
+    n = matrix.shape[0]
     k = max(n - _TABLE_N, 0)
+    s = n - k
+    # columns[j] is the index into rest of the vertex at position k + j
+    columns = np.ascontiguousarray(_permutation_table(s).T, dtype=np.uint8)
+    # per edge (a, b, column): prefix positions a and b, or None past it
+    landings = []
+    for u, v in edges:
+        if u >= k and v >= k:
+            landings.append((None, None, columns[u - k] * np.uint8(s) + columns[v - k]))
+        elif u >= k or v >= k:
+            a, j = (u, v) if u < k else (v, u)
+            landings.append((a, None, columns[j - k]))
+        else:
+            landings.append((u, v, None))
+
+    def values(prefix, rest):
+        pairs = matrix[np.ix_(rest, rest)].ravel()
+        for a, b, column in landings:
+            if a is None:
+                yield pairs.take(column)
+            elif b is None:
+                yield matrix[prefix[a], rest].take(column)
+            else:
+                yield matrix[prefix[a], prefix[b]]
+
     for prefix in itertools.permutations(range(n), k):
         # not np.setdiff1d: its first call alone adds about 1.7 MB of RSS
-        yield prefix, np.array([v for v in range(n) if v not in prefix], dtype=np.int64)
+        rest = np.array([v for v in range(n) if v not in prefix], dtype=np.int64)
+        yield prefix, rest, values(prefix, rest)
 
 
-def code_columns(n: int, us, vs) -> np.ndarray:
-    """Canonical-code weight of each edge (us[k], vs[k]) under every ordering.
+def code_columns(n: int, edges) -> np.ndarray:
+    """Canonical-code weight of each edge under every ordering, for n <= 8.
 
     Row r reads permutation r of the lexicographic table as the map vertex ->
-    position, and entry (r, k) is the bit that edge k sets in the code of
+    position, and entry (r, e) is the bit that edge e sets in the code of
     that ordering: the weight of the position pair it lands on, the first
     pair of the upper triangle being the most significant bit. A graph's
-    code under ordering r is the sum of its edges' entries in row r. Rows
-    range over all n! orderings, so the minimum of those sums and its
-    multiplicity are the canonical code and the automorphism count that
-    canonical_code returns.
+    code under ordering r is the sum of its edges' entries in row r; the
+    minimum over all n! rows is its canonical code, and the number of rows
+    attaining it is its automorphism count.
     """
-    perms = _permutation_table(n)
-    return _pair_weights(n)[perms[:, us], perms[:, vs]]
+    if n > _TABLE_N:
+        raise ValueError(f"canonical codes need n <= {_TABLE_N}, got n={n}")
+    ((_, _, values),) = _landings(_pair_weights(n), edges)
+    out = np.empty((math.factorial(n), len(edges)), dtype=np.int64)
+    for e, column in enumerate(values):
+        out[:, e] = column
+        del column
+    return out
 
 
 def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -104,52 +141,31 @@ def _pair_weights(n: int) -> np.ndarray:
     return weights
 
 
-def scan_sums(dist: np.ndarray, hu: np.ndarray, hv: np.ndarray):
+def scan_sums(dist: np.ndarray, edges):
     """Exhaustive sum scan; returns (counts, min, max, min_witness, max_witness).
 
-    counts[s] is the number of permutations p with sum over edges k of
-    dist[p[hu[k]], p[hv[k]]] equal to s, and each witness is the
-    lexicographically first permutation attaining its extreme.
-
-    The scan works on position pairs. In a block (prefix, rest), an edge
-    with both ends past the prefix reads one entry of the block's
-    rest-by-rest distance table, at a flat pair index built once per scan
-    from two columns of the permutation table; an edge from a prefix
-    position reads the prefix vertex's distances to rest at one table
-    column; an edge inside the prefix adds a per-block constant. So each
-    edge costs one take from a table of at most 64 entries per block.
+    counts[s] is the number of permutations p with sum over edges (u, v) of
+    dist[p[u], p[v]] equal to s, and each witness is the lexicographically
+    first permutation attaining its extreme. Each block adds its edges'
+    _landings values, a take from a table of at most 64 distances each, to
+    an int32 sum per permutation.
     """
     n = dist.shape[0]
-    k = max(n - _TABLE_N, 0)
-    s = n - k
-    table = _permutation_table(s)
-    # columns[j] is the index into rest of the vertex at position k + j
-    columns = np.ascontiguousarray(table.T, dtype=np.uint8)
-    pair_columns, prefix_edges, inner_edges = [], [], []
-    for u, v in zip(hu.tolist(), hv.tolist()):
-        if u >= k and v >= k:
-            pair_columns.append(columns[u - k] * np.uint8(s) + columns[v - k])
-        elif u >= k or v >= k:
-            p, j = (u, v) if u < k else (v, u)
-            prefix_edges.append((p, columns[j - k]))
-        else:
-            inner_edges.append((u, v))
-    m = hu.shape[0]
+    table = _permutation_table(min(n, _TABLE_N))
+    k = n - table.shape[1]
+    m = len(edges)
     top = int(m * dist.max()) if m else 0
     # a sum is at most m * diam(G) <= 66 * 11 for n <= 12, so int32 holds it
-    dist32 = dist.astype(np.int32)
     sums = np.empty(table.shape[0], dtype=np.int32)
     counts = np.zeros(top + 1, dtype=np.int64)
     min_wit = np.zeros(n, dtype=np.int64)
     max_wit = np.zeros(n, dtype=np.int64)
     best_min, best_max = top + 1, -1
-    for prefix, rest in _blocks(n):
-        sums.fill(sum(int(dist[prefix[a], prefix[b]]) for a, b in inner_edges))
-        pair_dist = dist32[np.ix_(rest, rest)].ravel()
-        for col in pair_columns:
-            sums += pair_dist.take(col)
-        for p, col in prefix_edges:
-            sums += dist32[prefix[p], rest].take(col)
+    for prefix, rest, values in _landings(dist.astype(np.int32), edges):
+        sums.fill(0)
+        for column in values:
+            sums += column
+            del column
         counts += np.bincount(sums, minlength=top + 1)
         i = int(sums.argmin())
         if sums[i] < best_min:
@@ -173,18 +189,18 @@ _TILE_COLS = 256
 _TILE_MADDS = 1 << 18
 
 
-def max_sums(dists: np.ndarray, hu: np.ndarray, hv: np.ndarray) -> np.ndarray:
+def max_sums(dists: np.ndarray, edges) -> np.ndarray:
     """Exhaustive maximum sum for each of a stack of distance matrices.
 
     dists is a (k, n, n) stack; entry i of the result is the maximum over
-    all permutations p of the sum over edges e of dists[i, p[hu[e]], p[hv[e]]],
-    which is scan_sums(dists[i], hu, hv)[2] (0 for an edgeless H). For
-    each permutation block, row r of a 0/1 incidence matrix marks the
-    position pairs that H's edges land on under permutation r; its product
-    with the (pairs, k) matrix of G-distances gives every sum. The product
-    runs tile by tile, keeping a running maximum per G, so its memory stays
-    flat in k. The sums are integers far below 2^53, so the float64
-    products are exact.
+    all permutations p of the sum over edges (u, v) of dists[i, p[u], p[v]],
+    which is scan_sums(dists[i], edges)[2] (0 for an edgeless H). For each
+    block, row r of a 0/1 incidence matrix marks the position pairs that
+    the edges land on under permutation r (the _landings of the pair index
+    matrix); its product with the (pairs, k) matrix of G-distances gives
+    every sum. The product runs tile by tile, keeping a running maximum per
+    G, so its memory stays flat in k. The sums are integers far below 2^53,
+    so the float64 products are exact.
     """
     k, n, _ = dists.shape
     rows, cols, index = _pair_index(n)
@@ -193,39 +209,19 @@ def max_sums(dists: np.ndarray, hu: np.ndarray, hv: np.ndarray) -> np.ndarray:
     width = max(1, min(k, _TILE_COLS))
     tile_rows = max(1, _TILE_MADDS // (width * max(rows.size, 1)))
     best = np.zeros(k, dtype=np.float64)
-    table = _permutation_table(min(n, _TABLE_N))
-    for prefix, rest in _blocks(n):
-        # for n <= 8 the block is the cached table itself, not a copy
-        perms = table
-        if prefix:
-            perms = np.empty((table.shape[0], n), dtype=np.int64)
-            perms[:, : len(prefix)] = prefix
-            perms[:, len(prefix) :] = rest[table]
-        incidence = np.zeros((perms.shape[0], rows.size), dtype=np.float64)
-        np.put_along_axis(incidence, index[perms[:, hu], perms[:, hv]], 1.0, axis=1)
+    incidence = np.empty((math.factorial(min(n, _TABLE_N)), rows.size), dtype=np.float64)
+    perm_rows = np.arange(incidence.shape[0])
+    for _, _, values in _landings(index, edges):
+        incidence.fill(0.0)
+        for column in values:
+            incidence[perm_rows, column] = 1.0
+            del column
         for lo in range(0, k, width):
             block = pair_dists[lo : lo + width].T
             top = best[lo : lo + width]
             for r in range(0, incidence.shape[0], tile_rows):
                 np.maximum(top, (incidence[r : r + tile_rows] @ block).max(axis=0), out=top)
     return best.astype(np.int64)
-
-
-def canonical_code(n: int, edges) -> tuple[int, int]:
-    """Canonical bit code and automorphism count of a graph on n <= 8 vertices.
-
-    The code is the minimum, over all orderings, of the upper triangle
-    packed row by row with the first pair in the most significant bit; the
-    number of orderings attaining it is the automorphism group order. Both
-    are read from the code_columns sums; edges are distinct pairs (a, b)
-    with a != b.
-    """
-    if n > _TABLE_N:
-        raise ValueError(f"canonical codes need n <= {_TABLE_N}, got n={n}")
-    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    codes = code_columns(n, pairs[:, 0], pairs[:, 1]).sum(axis=1)
-    best = int(codes.min())
-    return best, int((codes == best).sum())
 
 
 def edges_from_code(n: int, code: int) -> tuple[tuple[int, int], ...]:

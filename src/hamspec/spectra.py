@@ -15,10 +15,17 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from . import kernels
-from .graphs import Graph, GraphError, adjacency, distance_matrix, is_connected, make_cycle, make_path
+from .graphs import (
+    Graph,
+    GraphError,
+    adjacency,
+    distance_matrix,
+    is_connected,
+    make_cycle,
+    make_path,
+    _bfs,
+)
 
 # n! grows too fast for exhaustive scans much past this; callers may raise it.
 EXHAUSTIVE_CAP = 9
@@ -34,12 +41,6 @@ def _check_bijection(f, n: int) -> tuple[int, ...]:
     if sorted(f) != list(range(n)):
         raise GraphError(f"{f!r} is not a bijection on range({n})")
     return f
-
-
-def _edge_arrays(h: Graph) -> tuple[np.ndarray, np.ndarray]:
-    hu = np.fromiter((a for a, _ in h.edges), dtype=np.int64, count=len(h.edges))
-    hv = np.fromiter((b for _, b in h.edges), dtype=np.int64, count=len(h.edges))
-    return hu, hv
 
 
 def pseudo_sum(h: Graph, g: Graph, f) -> int:
@@ -102,8 +103,7 @@ def spectrum(h: Graph, g: Graph, max_n: int = EXHAUSTIVE_CAP) -> SpectrumReport:
     if g.n > max_n:
         raise GraphError(f"exhaustive scan over {g.n}! permutations exceeds cap n <= {max_n}")
     dg = distance_matrix(g)
-    hu, hv = _edge_arrays(h)
-    counts, best_min, best_max, min_wit, max_wit = kernels.scan_sums(dg, hu, hv)
+    counts, best_min, best_max, min_wit, max_wit = kernels.scan_sums(dg, h.edges)
     values = tuple((s, int(c)) for s, c in enumerate(counts) if c)
     return SpectrumReport(
         values=values,
@@ -119,25 +119,14 @@ def _aut_orbit(adj: tuple[tuple[int, ...], ...], x0: int) -> set[int]:
     """Vertices that some automorphism of the graph with neighbor tuples adj maps x0 to.
 
     For each candidate x of x0's degree, backtracks for an automorphism
-    sending x0 to x: vertices are mapped in BFS order from x0 (the other
+    sending x0 to x: vertices are mapped by BFS distance from x0 (the other
     components after it), each to an unused vertex of the same degree whose
     adjacency to every vertex mapped so far matches.
     """
     n = len(adj)
     nbrs = [set(a) for a in adj]
-    seq = []
-    seen = [False] * n
-    for root in [x0, *range(n)]:
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = [root]
-        for v in queue:
-            for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    queue.append(u)
-        seq += queue
+    dist = _bfs(adj, x0)
+    seq = sorted(range(n), key=lambda v: (dist[v] < 0, dist[v], v))
     sigma = [-1] * n
     taken = [False] * n
 

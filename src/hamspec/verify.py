@@ -31,7 +31,7 @@ from .graphs import (
     render_graph,
     _spanning_tree_iter,
 )
-from .spectra import _edge_arrays, extremal_number
+from .spectra import extremal_number
 
 # n=8 holds 11117 classes; enumerating them takes about 18 s (0.2 s at n=7;
 # timings in the kernels module docstring), while scoring them all against
@@ -45,13 +45,11 @@ def _connected_classes(n: int) -> tuple[Graph, ...]:
         return (Graph(1, ()),)
     # code of base + attachment mask under every ordering, built by subset
     # sums: codes[mask | 1 << v] = codes[mask] + attach[v] for mask < 1 << v
-    attach = kernels.code_columns(n, np.arange(n - 1), np.full(n - 1, n - 1)).T.copy()
+    attach = kernels.code_columns(n, [(v, n - 1) for v in range(n - 1)]).T.copy()
     codes = np.empty((1 << (n - 1), attach.shape[1]), dtype=np.int64)
     seen = set()
     for base in _connected_classes(n - 1):
-        us = np.array([a for a, _ in base.edges], dtype=np.int64)
-        vs = np.array([b for _, b in base.edges], dtype=np.int64)
-        codes[0] = kernels.code_columns(n, us, vs).sum(axis=1)
+        codes[0] = kernels.code_columns(n, base.edges).sum(axis=1)
         for v in range(n - 1):
             np.add(codes[: 1 << v], attach[v], out=codes[1 << v : 2 << v])
         # mask 0 leaves the new vertex isolated
@@ -172,7 +170,8 @@ def verify_upper_bound(
     For each H in the family and every connected G on n vertices, the
     maximum sum over bijections is at most the value attained when G is the
     path, with equality exactly when G is the path. The bound comes from
-    one exhaustive scan of the path, apart from the batch; the graphs' one
+    one exhaustive scan of the path, apart from the batch, so it
+    cross-checks the batched product on the path's own item; the graphs' one
     distance stack is scored against each H by one kernels.max_sums call,
     also exhaustive, so every value reported is exact. A progress file (one
     key per line) lets an interrupted sweep resume: recorded keys are
@@ -198,7 +197,6 @@ def verify_upper_bound(
     try:
         for h_name, h in hs:
             bound, _ = extremal_number(h, make_path(n), "max", max_n=n)
-            hu, hv = _edge_arrays(h)
             checked += len(graphs)
             todo = range(len(graphs))
             stack = dists
@@ -207,7 +205,7 @@ def verify_upper_bound(
                 if not todo:
                     continue
                 stack = dists[todo]
-            values = kernels.max_sums(stack, hu, hv)
+            values = kernels.max_sums(stack, h.edges)
             for i, value in zip(todo, values.tolist()):
                 problem = _check_upper_bound_item(shapes[i], value, bound)
                 if problem is None:

@@ -200,6 +200,14 @@ def test_usage_errors(files, capsys):
     assert code == 2
     code, _, _ = run(capsys)
     assert code == 2
+    # the sweep flags belong to upper-bound alone
+    progress = files["c4"] + ".progress"
+    for family in ("closed-forms", "spanning-trees", "articulation"):
+        for flag in (("--resume", progress), ("--h-family", "canonical"), ("--h-family", "all")):
+            code, out, err = run(capsys, "verify", family, "--n", "3", *flag)
+            assert (code, out) == (2, ""), (family, flag)
+            assert err == f"error: {flag[0]} applies to upper-bound only, not {family}\n"
+    assert not os.path.exists(progress)
 
 
 def test_domain_errors(files, capsys):

@@ -51,9 +51,8 @@ def test_scan_sums_witnesses_are_lex_smallest():
     ]
     for g, edges in instances:
         dist = distance_matrix(g)
-        hu, hv = _edge_arrays(edges)
         want, first = _brute_force_scan(dist, edges)
-        counts, lo, hi, mw, xw = kernels.scan_sums(dist, hu, hv)
+        counts, lo, hi, mw, xw = kernels.scan_sums(dist, edges)
         assert {s: int(c) for s, c in enumerate(counts) if c} == dict(want)
         assert (lo, hi) == (min(want), max(want))
         assert tuple(mw) == first[lo]
@@ -67,9 +66,7 @@ def test_scan_sums_two_vertex_prefix():
     rng = random.Random(1010)
     g = build_graph(10, [(rng.randrange(i), i) for i in range(1, 10)] + [(0, 9), (3, 7)])
     h = make_cycle(10)
-    hu = np.array([a for a, _ in h.edges], dtype=np.int64)
-    hv = np.array([b for _, b in h.edges], dtype=np.int64)
-    counts, lo, hi, mw, xw = kernels.scan_sums(distance_matrix(g), hu, hv)
+    counts, lo, hi, mw, xw = kernels.scan_sums(distance_matrix(g), h.edges)
     assert kernels._permutation_table.cache_info().currsize == 1
     assert kernels._permutation_table(8).shape == (math.factorial(8), 8)
     assert kernels._permutation_table.cache_info().misses == 1
@@ -80,9 +77,11 @@ def test_scan_sums_two_vertex_prefix():
     assert pseudo_sum(h, g, tuple(xw)) == hi
 
 
-def _block_gather_scan(dist, hu, hv):
+def _block_gather_scan(dist, edges):
     """Reference scan for n >= 9: each lexicographic block as a whole
     (8!, n) permutation array, every edge distance gathered from it."""
+    hu = np.array([a for a, _ in edges], dtype=np.int64)
+    hv = np.array([b for _, b in edges], dtype=np.int64)
     n = dist.shape[0]
     k = n - 8
     table = np.array(list(itertools.permutations(range(8))), dtype=np.int64)
@@ -108,16 +107,15 @@ def test_scan_sums_prefix_to_prefix_edge():
     rng = random.Random(1001)
     g = build_graph(10, [(rng.randrange(i), i) for i in range(1, 10)] + [(1, 9), (3, 6)])
     dist = distance_matrix(g)
-    hu, hv = _edge_arrays([(0, 1), (1, 5), (9, 0), (2, 3), (3, 8), (6, 7)])
-    counts, lo, hi, mw, xw = kernels.scan_sums(dist, hu, hv)
+    edges = [(0, 1), (1, 5), (9, 0), (2, 3), (3, 8), (6, 7)]
+    counts, lo, hi, mw, xw = kernels.scan_sums(dist, edges)
     hist = {s: int(c) for s, c in enumerate(counts) if c}
-    assert (hist, (lo, tuple(mw)), (hi, tuple(xw))) == _block_gather_scan(dist, hu, hv)
+    assert (hist, (lo, tuple(mw)), (hi, tuple(xw))) == _block_gather_scan(dist, edges)
 
 
 def test_scan_sums_edgeless_h():
     dist = distance_matrix(make_cycle(4))
-    empty = np.zeros(0, dtype=np.int64)
-    counts, lo, hi, mw, xw = kernels.scan_sums(dist, empty, empty)
+    counts, lo, hi, mw, xw = kernels.scan_sums(dist, [])
     assert counts.tolist() == [24]
     assert (lo, hi) == (0, 0)
     assert tuple(mw) == tuple(xw) == (0, 1, 2, 3)
@@ -125,10 +123,17 @@ def test_scan_sums_edgeless_h():
 
 def test_scan_sums_single_vertex():
     dist = np.zeros((1, 1), dtype=np.int64)
-    empty = np.zeros(0, dtype=np.int64)
-    counts, lo, hi, mw, xw = kernels.scan_sums(dist, empty, empty)
+    counts, lo, hi, mw, xw = kernels.scan_sums(dist, [])
     assert counts.tolist() == [1]
     assert (lo, hi) == (0, 0)
+
+
+def _canonical_code(n, edges):
+    """Canonical code (the minimum code_columns sum over all orderings) and
+    the number of orderings attaining it."""
+    codes = kernels.code_columns(n, edges).sum(axis=1)
+    best = int(codes.min())
+    return best, int((codes == best).sum())
 
 
 def test_canonical_code_is_isomorphism_invariant():
@@ -139,8 +144,8 @@ def test_canonical_code_is_isomorphism_invariant():
         perm = list(range(n))
         rng.shuffle(perm)
         relabeled = [(perm[a], perm[b]) for a, b in edges]
-        code_a, aut_a = kernels.canonical_code(n, edges)
-        code_b, aut_b = kernels.canonical_code(n, relabeled)
+        code_a, aut_a = _canonical_code(n, edges)
+        code_b, aut_b = _canonical_code(n, relabeled)
         assert code_a == code_b
         assert aut_a == aut_b
 
@@ -154,7 +159,7 @@ def test_automorphism_counts():
         (build_graph(1, []), 1),
     ]
     for g, expected in cases:
-        _, aut = kernels.canonical_code(g.n, g.edges)
+        _, aut = _canonical_code(g.n, g.edges)
         assert aut == expected, g
 
 
@@ -183,7 +188,7 @@ def test_canonical_code_matches_brute_force():
         graphs += [[p for p in pairs if rng.random() < density] for density in (0.3, 0.6)]
         for edges in graphs:
             want = _brute_force_canonical(n, edges)
-            got = kernels.canonical_code(n, edges)
+            got = _canonical_code(n, edges)
             assert got == want, (n, edges)
 
 
@@ -192,17 +197,17 @@ def test_edges_from_code_round_trip():
     for _ in range(20):
         n = rng.randint(1, 7)
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
-        code, _ = kernels.canonical_code(n, edges)
+        code, _ = _canonical_code(n, edges)
         rebuilt = kernels.edges_from_code(n, code)
-        rebuilt_code, _ = kernels.canonical_code(n, rebuilt)
+        rebuilt_code, _ = _canonical_code(n, rebuilt)
         assert rebuilt_code == code
         assert len(rebuilt) == len(edges)
 
 
 def test_canonical_code_size_guard():
     # codes come from the cached 8! table only
-    with pytest.raises(ValueError):
-        kernels.canonical_code(9, make_path(9).edges)
+    with pytest.raises(ValueError, match="n <= 8"):
+        kernels.code_columns(9, make_path(9).edges)
 
 
 def _connected_stack(rng, n, k):
@@ -214,12 +219,6 @@ def _connected_stack(rng, n, k):
         edges += [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.2]
         graphs.append(build_graph(n, edges))
     return np.stack([distance_matrix(g) for g in graphs])
-
-
-def _edge_arrays(edges):
-    hu = np.array([a for a, _ in edges], dtype=np.int64)
-    hv = np.array([b for _, b in edges], dtype=np.int64)
-    return hu, hv
 
 
 def test_max_sums_matches_scan_sums():
@@ -244,10 +243,13 @@ def test_max_sums_matches_scan_sums():
     # of the nine blocks
     broom = build_graph(9, [(8, 7), (7, 6), (6, 5), (5, 4), (0, 4), (1, 4), (2, 4), (3, 4)])
     cases.append((distance_matrix(broom)[None], [(0, v) for v in range(1, 9)]))
+    # n = 10 puts vertices 0 and 1 in the prefix: edge (0, 1) lands on one
+    # number per block, and prefix-to-rest edges come in both orientations
+    g = build_graph(10, [(rng.randrange(i), i) for i in range(1, 10)] + [(1, 9), (2, 6)])
+    cases.append((distance_matrix(g)[None], [(0, 1), (1, 5), (9, 0), (2, 3), (3, 8), (6, 7)]))
     for dists, edges in cases:
-        hu, hv = _edge_arrays(edges)
-        want = [kernels.scan_sums(d, hu, hv)[2] for d in dists]
-        got = kernels.max_sums(dists, hu, hv)
+        want = [kernels.scan_sums(d, edges)[2] for d in dists]
+        got = kernels.max_sums(dists, edges)
         assert got.dtype == np.int64
         assert got.tolist() == want, (dists.shape, edges)
 
