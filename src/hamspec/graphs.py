@@ -2,15 +2,16 @@
 
 Graphs are immutable records over vertex set {0, ..., n-1}. Everything else
 in the package (spectra, surgery, verification) builds on the helpers here:
-BFS distances, shape classification, unique tree paths, component splits,
-and spanning-tree enumeration.
+BFS distances, shape classification, unique tree paths and spanning trees.
+Data derived from a graph (its neighbour lists and distance matrix) is
+computed once and lives on the graph object, so it goes when the graph goes.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +37,25 @@ class Graph:
 
     def edge_count(self) -> int:
         return len(self.edges)
+
+    # cached_property writes the instance __dict__ directly, which a frozen
+    # dataclass allows; equality and hashing still read only n and edges
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        nbrs = [[] for _ in range(self.n)]
+        for a, b in self.edges:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        return tuple(tuple(sorted(ns)) for ns in nbrs)
+
+    @cached_property
+    def _distances(self) -> np.ndarray:
+        rows = [_bfs(self._adjacency, src) for src in range(self.n)]
+        if -1 in rows[0]:
+            raise GraphError("distance matrix requires a connected graph")
+        dist = np.array(rows, dtype=np.int64)
+        dist.setflags(write=False)
+        return dist
 
 
 def build_graph(n: int, edges) -> Graph:
@@ -76,19 +96,9 @@ def make_complete(n: int) -> Graph:
     return Graph(n, tuple(itertools.combinations(range(n), 2)))
 
 
-# holds all 853 connected classes at n = 7 plus the path during a sweep,
-# while the intermediate trees of long pathify runs are evicted
-_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
 def adjacency(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Neighbor tuple per vertex, each sorted ascending."""
-    nbrs = [[] for _ in range(g.n)]
-    for a, b in g.edges:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    return tuple(tuple(sorted(ns)) for ns in nbrs)
+    return g._adjacency
 
 
 def degrees(g: Graph) -> tuple[int, ...]:
@@ -122,20 +132,14 @@ def is_tree(g: Graph) -> bool:
     return len(g.edges) == g.n - 1 and is_connected(g)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs shortest-path lengths by BFS from every vertex.
 
-    Returns a read-only (n, n) int64 array; requires a connected graph so
-    every entry is finite.
+    Returns a read-only (n, n) int64 array, the same one on every call for
+    the same graph object; requires a connected graph so every entry is
+    finite.
     """
-    adj = adjacency(g)
-    rows = [_bfs(adj, src) for src in range(g.n)]
-    if -1 in rows[0]:
-        raise GraphError("distance matrix requires a connected graph")
-    dist = np.array(rows, dtype=np.int64)
-    dist.setflags(write=False)
-    return dist
+    return g._distances
 
 
 def classify_shape(g: Graph) -> str:
@@ -170,19 +174,6 @@ def tree_path(t: Graph, a: int, b: int) -> tuple[int, ...]:
         # in a tree exactly one neighbour lies one level closer to a
         path.append(next(w for w in adj[v] if dist[w] < dist[v]))
     return tuple(reversed(path))
-
-
-def component_after_cut(g: Graph, cut: tuple[int, int], seed: int) -> frozenset[int]:
-    """Vertices reachable from seed once the edge cut is removed."""
-    a, b = min(cut), max(cut)
-    adj = list(adjacency(g))
-    if not (0 <= a < g.n and b in adj[a]):
-        raise GraphError(f"cut edge {cut!r} is not in the graph")
-    if not (0 <= seed < g.n):
-        raise GraphError(f"seed {seed} out of range for n={g.n}")
-    adj[a] = [w for w in adj[a] if w != b]
-    adj[b] = [w for w in adj[b] if w != a]
-    return frozenset(v for v, d in enumerate(_bfs(adj, seed)) if d >= 0)
 
 
 def non_articulation_vertex(g: Graph) -> int:

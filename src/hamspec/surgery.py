@@ -11,21 +11,22 @@ spanning tree first extends this to arbitrary connected inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from .graphs import (
     Graph,
     GraphError,
+    adjacency,
     build_graph,
     classify_shape,
-    component_after_cut,
     degrees,
     distance_matrix,
     first_spanning_tree,
     is_tree,
     leaves,
     render_graph,
-    tree_path,
 )
 from .spectra import _check_bijection, _check_same_order, pseudo_sum
 
@@ -77,32 +78,48 @@ def _check_triple(t: Graph, triple: LeafTriple) -> None:
             raise GraphError(f"vertex {v} is not a leaf of the tree")
 
 
+def _nearer(d: np.ndarray, near: int, far: int) -> np.ndarray:
+    """Mask of the vertices on near's side of the tree edge {near, far}.
+
+    In a tree, v lies on near's side exactly when d(near, v) < d(far, v).
+    """
+    return d[near] < d[far]
+
+
+def _tree_distances(t: Graph, *edges: tuple[int, int]) -> np.ndarray:
+    """The distance matrix of a tree, once each pair is checked to be one of its edges."""
+    if not is_tree(t):
+        raise GraphError("edge sides are defined on trees")
+    for near, far in edges:
+        if not (0 <= near < t.n and 0 <= far < t.n and far in adjacency(t)[near]):
+            raise GraphError(f"cut edge {(near, far)!r} is not in the graph")
+    return distance_matrix(t)
+
+
 def find_junction(t: Graph, triple: LeafTriple) -> Junction:
     """Locate the fork, stub, and trunk arms for a leaf triple of a tree."""
     if not is_tree(t):
         raise GraphError("junctions are defined on trees")
     _check_triple(t, triple)
-    trunk = tree_path(t, triple.end_a, triple.end_b)
-    on_trunk = set(trunk)
-    walk = tree_path(t, triple.spur, triple.end_a)
-    meet = next(i for i, v in enumerate(walk) if v in on_trunk)
-    # a leaf spur cannot start on the trunk, and a trunk end cannot be the
+    d = distance_matrix(t)
+    a, b, spur = triple.end_a, triple.end_b, triple.spur
+    trunk = np.flatnonzero(d[a] + d[b] == d[a, b])
+    fork = int(trunk[np.argmin(d[spur, trunk])])
+    # a leaf spur cannot lie on the trunk, and a trunk end cannot be the
     # fork, else that end would have degree >= 2
-    _require(meet >= 1, "spur lies on the trunk")
-    fork = walk[meet]
-    position = trunk.index(fork)
-    _require(0 < position < len(trunk) - 1, "fork landed on a trunk end")
-    return Junction(
-        fork=fork,
-        stub=walk[meet - 1],
-        arm_a=trunk[position - 1],
-        arm_b=trunk[position + 1],
-    )
+    _require(fork != spur, "spur lies on the trunk")
+    _require(fork not in (a, b), "fork landed on a trunk end")
+
+    def toward(v: int) -> int:
+        return next(w for w in adjacency(t)[fork] if _nearer(d, w, fork)[v])
+
+    return Junction(fork=fork, stub=toward(spur), arm_a=toward(a), arm_b=toward(b))
 
 
 def spur_component(t: Graph, junction: Junction) -> frozenset[int]:
     """Vertices on the spur side once the stub-fork edge is cut."""
-    return component_after_cut(t, (junction.stub, junction.fork), junction.stub)
+    d = _tree_distances(t, (junction.stub, junction.fork))
+    return frozenset(np.flatnonzero(_nearer(d, junction.stub, junction.fork)).tolist())
 
 
 def rewire(t: Graph, junction: Junction, triple: LeafTriple) -> tuple[Graph, Graph]:
@@ -125,18 +142,16 @@ def classify_pair(
     The pair must straddle the stub-fork cut: a on the spur side, b outside.
     Returns ARM_A, ARM_B, or NEITHER; the path can never use both arms.
     """
+    d = _tree_distances(t, (junction.arm_a, junction.fork), (junction.arm_b, junction.fork))
     if spur_side is None:
         spur_side = spur_component(t, junction)
+    if not (0 <= b < t.n):
+        raise GraphError(f"vertices ({a}, {b}) out of range for n={t.n}")
     if a not in spur_side or b in spur_side:
         raise GraphError(f"pair ({a}, {b}) does not straddle the stub-fork cut")
-    path = tree_path(t, a, b)
-    steps = {frozenset(pair) for pair in zip(path, path[1:])}
-    uses_a = frozenset((junction.fork, junction.arm_a)) in steps
-    uses_b = frozenset((junction.fork, junction.arm_b)) in steps
-    _require(not (uses_a and uses_b), "tree path used both fork arms")
-    if uses_a:
+    if _nearer(d, junction.arm_a, junction.fork)[b]:
         return ARM_A
-    if uses_b:
+    if _nearer(d, junction.arm_b, junction.fork)[b]:
         return ARM_B
     return NEITHER
 
@@ -200,16 +215,12 @@ def choose_transform(t: Graph, h: Graph, f, triple: LeafTriple) -> TransformStep
     _check_same_order(h, t)
     f = _check_bijection(f, t.n)
     junction = find_junction(t, triple)
-    spur_side = spur_component(t, junction)
-    linked = linked_cross_pairs(h, f, spur_side)
-    n_arm_a = 0
-    n_arm_b = 0
-    for x, y in linked:
-        side = classify_pair(t, junction, x, y, spur_side)
-        if side == ARM_A:
-            n_arm_a += 1
-        elif side == ARM_B:
-            n_arm_b += 1
+    linked = linked_cross_pairs(h, f, spur_component(t, junction))
+    d = distance_matrix(t)
+    on_arm_a = _nearer(d, junction.arm_a, junction.fork).tolist()
+    on_arm_b = _nearer(d, junction.arm_b, junction.fork).tolist()
+    n_arm_a = sum(on_arm_a[y] for _, y in linked)
+    n_arm_b = sum(on_arm_b[y] for _, y in linked)
     to_a, to_b = rewire(t, junction, triple)
     choice = "end_a" if n_arm_a <= n_arm_b else "end_b"
     after = to_a if choice == "end_a" else to_b
@@ -299,17 +310,8 @@ def step_to_dict(step: TransformStep) -> dict:
     return {
         "before": render_graph(step.before),
         "after": render_graph(step.after),
-        "triple": {
-            "end_a": step.triple.end_a,
-            "end_b": step.triple.end_b,
-            "spur": step.triple.spur,
-        },
-        "junction": {
-            "fork": step.junction.fork,
-            "stub": step.junction.stub,
-            "arm_a": step.junction.arm_a,
-            "arm_b": step.junction.arm_b,
-        },
+        "triple": asdict(step.triple),
+        "junction": asdict(step.junction),
         "n_arm_a": step.n_arm_a,
         "n_arm_b": step.n_arm_b,
         "choice": step.choice,

@@ -16,7 +16,6 @@ from hamspec.graphs import (
     GraphError,
     build_graph,
     classify_shape,
-    component_after_cut,
     degrees,
     distance_matrix,
     first_spanning_tree,
@@ -175,20 +174,6 @@ def test_tree_path_matches_networkx():
         for _ in range(100):
             a, b = rng.randrange(60), rng.randrange(60)
             assert tree_path(t, a, b) == tuple(nx.shortest_path(nxt, a, b)), (render_graph(t), a, b)
-
-
-def test_component_after_cut():
-    assert component_after_cut(SPIDER, (0, 5), 5) == frozenset({5, 6})
-    assert component_after_cut(SPIDER, (5, 0), 0) == frozenset({0, 1, 2, 3, 4})
-    assert component_after_cut(SPIDER, (5, 0), 5) == component_after_cut(SPIDER, (0, 5), 5)
-    # cutting a cycle edge disconnects nothing
-    assert component_after_cut(make_cycle(4), (0, 1), 0) == frozenset(range(4))
-    with pytest.raises(GraphError):
-        component_after_cut(SPIDER, (2, 4), 2)
-    # out of range: -1 must not wrap around to vertex 6, whose neighbour is 5
-    for cut in ((5, -1), (6, 7), (7, 8)):
-        with pytest.raises(GraphError):
-            component_after_cut(SPIDER, cut, 5)
 
 
 def test_non_articulation_vertex():

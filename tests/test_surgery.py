@@ -1,10 +1,13 @@
 """Leaf-triple rewiring: junction anatomy, sum monotonicity, and traces."""
 
+import gc
 import itertools
 import os
 import random
 import subprocess
 import sys
+import weakref
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +32,7 @@ from hamspec.surgery import (
     ARM_A,
     ARM_B,
     NEITHER,
+    Junction,
     LeafTriple,
     branching_weight,
     choose_transform,
@@ -77,11 +81,57 @@ def test_find_junction_validation():
         find_junction(make_path(5), LeafTriple(0, 4, 2))
 
 
+def _walk_junction(t, triple):
+    """The junction found by walking tree paths: from the spur toward end_a
+    until the walk meets the trunk between the ends."""
+    trunk = tree_path(t, triple.end_a, triple.end_b)
+    walk = tree_path(t, triple.spur, triple.end_a)
+    meet = next(i for i, v in enumerate(walk) if v in trunk)
+    position = trunk.index(walk[meet])
+    return Junction(
+        fork=walk[meet],
+        stub=walk[meet - 1],
+        arm_a=trunk[position - 1],
+        arm_b=trunk[position + 1],
+    )
+
+
+def test_find_junction_matches_path_walks():
+    rng = random.Random(41)
+    triples = 0
+    for _ in range(60):
+        t = random_tree(rng.randint(4, 12), rng)
+        for names in itertools.permutations(sorted(leaves(t)), 3):
+            triple = LeafTriple(*names)
+            j = find_junction(t, triple)
+            assert j == _walk_junction(t, triple), (render_graph(t), names)
+            # the spur side is every vertex whose path to the fork runs through the stub
+            side = {v for v in range(t.n) if j.stub in tree_path(t, v, j.fork)}
+            assert spur_component(t, j) == side, (render_graph(t), names)
+            triples += 1
+    assert triples > 1000
+
+
 def test_spur_component():
     j = find_junction(SPIDER, SPIDER_TRIPLE)
     assert spur_component(SPIDER, j) == frozenset({5, 6})
+    # with stub and fork swapped the component is the other side of the cut
+    assert spur_component(SPIDER, replace(j, stub=0, fork=5)) == frozenset({0, 1, 2, 3, 4})
     j = find_junction(BRANCHED_PATH, LeafTriple(0, 4, 6))
     assert spur_component(BRANCHED_PATH, j) == frozenset({5, 6})
+
+
+def test_spur_component_validation():
+    j = find_junction(SPIDER, SPIDER_TRIPLE)
+    with pytest.raises(GraphError, match="not in the graph"):
+        spur_component(SPIDER, replace(j, stub=2, fork=4))
+    # out of range: -1 must not wrap around to vertex 6, whose neighbour is 5
+    for stub, fork in ((5, -1), (-1, 5), (6, 7), (7, 8)):
+        with pytest.raises(GraphError, match="not in the graph"):
+            spur_component(SPIDER, replace(j, stub=stub, fork=fork))
+    # distances tell the sides of a cut apart only in a tree
+    with pytest.raises(GraphError, match="trees"):
+        spur_component(make_cycle(4), Junction(fork=1, stub=0, arm_a=2, arm_b=3))
 
 
 def test_rewire_spider():
@@ -104,6 +154,10 @@ def test_classify_pair_spider():
         classify_pair(SPIDER, j, 0, 5)
     with pytest.raises(GraphError):
         classify_pair(SPIDER, j, 5, 6)
+    # b = -1 must not read the last vertex's distances
+    for b in (-1, SPIDER.n):
+        with pytest.raises(GraphError, match="out of range"):
+            classify_pair(SPIDER, j, 6, b)
 
 
 def test_linked_cross_pairs():
@@ -340,6 +394,20 @@ def test_invariants_hold_under_python_O():
     )
     # a branching weight that never drops must stop the run although -O strips asserts
     assert result.stdout.strip() == "1 True branching weight failed to drop"
+
+
+def test_trees_release_their_distances():
+    t = random_tree(20, random.Random(8))
+    trace = pathify(t, make_cycle(20), tuple(range(20)))
+    assert trace.steps
+    d = distance_matrix(trace.final)
+    assert d is distance_matrix(trace.final)
+    assert not d.flags.writeable
+    # the distances live on the graph object, so no cache keeps a tree alive
+    refs = [weakref.ref(t), weakref.ref(trace.final)]
+    del t, trace, d
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_pathify_on_a_path_is_empty():
