@@ -124,12 +124,17 @@ def code_columns(n: int, edges) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=_TABLE_N)
 def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Upper-triangle position pairs (rows, cols), row by row, and the
     symmetric matrix of each pair's index in that order (0 on the diagonal)."""
     rows, cols = np.triu_indices(n, k=1)
     index = np.zeros((n, n), dtype=np.int64)
     index[rows, cols] = index[cols, rows] = np.arange(rows.size, dtype=np.int64)
+    # cached and read-only: building them takes about 20 us, ten times what
+    # edges_from_code does with them, and a sweep decodes about 1000 codes
+    for array in (rows, cols, index):
+        array.setflags(write=False)
     return rows, cols, index
 
 
@@ -180,12 +185,11 @@ def scan_sums(dist: np.ndarray, edges):
     return counts, best_min, best_max, min_wit, max_wit
 
 
-# max_sums multiplies tiles of up to _TILE_COLS graphs by as many
-# permutations as keep one product at 2^18 multiply-adds. OpenBLAS runs a
-# product that small on the calling thread; larger ones woke its second
-# thread, which on a busy 2-core host made a 5040 x 21 x 256 product take
-# 6-16 ms instead of 0.2 ms (0.22 s against 0.01 s per H at n = 7).
-_TILE_COLS = 256
+# max_sums multiplies as many permutations at a time by the whole (pairs, k)
+# distance stack as keep one product at 2^18 multiply-adds or fewer. OpenBLAS
+# runs a product that small on the calling thread; larger ones woke its
+# second thread, which on a busy 2-core host made a 5040 x 21 x 256 product
+# take 6-16 ms instead of 0.2 ms (0.22 s against 0.01 s per H at n = 7).
 _TILE_MADDS = 1 << 18
 
 
@@ -198,16 +202,14 @@ def max_sums(dists: np.ndarray, edges) -> np.ndarray:
     block, row r of a 0/1 incidence matrix marks the position pairs that
     the edges land on under permutation r (the _landings of the pair index
     matrix); its product with the (pairs, k) matrix of G-distances gives
-    every sum. The product runs tile by tile, keeping a running maximum per
-    G, so its memory stays flat in k. The sums are integers far below 2^53,
-    so the float64 products are exact.
+    every sum. The product runs a slice of incidence rows at a time against
+    all k graphs, keeping a running maximum per G. The sums are integers
+    far below 2^53, so the float64 products are exact.
     """
     k, n, _ = dists.shape
     rows, cols, index = _pair_index(n)
-    # one row per G, so each block of G columns is one contiguous slice
-    pair_dists = dists[:, rows, cols].astype(np.float64)
-    width = max(1, min(k, _TILE_COLS))
-    tile_rows = max(1, _TILE_MADDS // (width * max(rows.size, 1)))
+    pair_dists = dists[:, rows, cols].astype(np.float64).T
+    tile_rows = max(1, _TILE_MADDS // max(k * rows.size, 1))
     best = np.zeros(k, dtype=np.float64)
     incidence = np.empty((math.factorial(min(n, _TABLE_N)), rows.size), dtype=np.float64)
     perm_rows = np.arange(incidence.shape[0])
@@ -216,22 +218,21 @@ def max_sums(dists: np.ndarray, edges) -> np.ndarray:
         for column in values:
             incidence[perm_rows, column] = 1.0
             del column
-        for lo in range(0, k, width):
-            block = pair_dists[lo : lo + width].T
-            top = best[lo : lo + width]
-            for r in range(0, incidence.shape[0], tile_rows):
-                np.maximum(top, (incidence[r : r + tile_rows] @ block).max(axis=0), out=top)
+        for r in range(0, incidence.shape[0], tile_rows):
+            np.maximum(best, (incidence[r : r + tile_rows] @ pair_dists).max(axis=0), out=best)
     return best.astype(np.int64)
 
 
 def edges_from_code(n: int, code: int) -> tuple[tuple[int, int], ...]:
-    """Invert the canonical bit packing back into an edge tuple."""
-    m = n * (n - 1) // 2
-    edges = []
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (code >> (m - 1 - k)) & 1:
-                edges.append((i, j))
-            k += 1
-    return tuple(edges)
+    """Invert the canonical bit packing back into an edge tuple.
+
+    Pair k of _pair_index(n) is bit m - 1 - k of the code, as _pair_weights
+    packs it.
+    """
+    rows, cols, _ = _pair_index(n)
+    m = rows.size
+    return tuple(
+        (i, j)
+        for k, (i, j) in enumerate(zip(rows.tolist(), cols.tolist()))
+        if (code >> (m - 1 - k)) & 1
+    )

@@ -27,7 +27,8 @@ from .graphs import (
     _bfs,
 )
 
-# n! grows too fast for exhaustive scans much past this; callers may raise it.
+# n! grows too fast for exhaustive scans much past this; spectrum is the one
+# function that takes a higher cap.
 EXHAUSTIVE_CAP = 9
 
 
@@ -258,14 +259,13 @@ def extremal_number(
     g: Graph,
     sense: str,
     method: str = "exhaustive",
-    max_n: int = EXHAUSTIVE_CAP,
 ) -> tuple[int, tuple[int, ...]]:
     """Minimum or maximum achievable sum, with a witness bijection.
 
     method='exhaustive' reads the extreme and its witness (the
-    lexicographically smallest) from spectrum(h, g, max_n); method='bnb'
-    ignores max_n and searches depth-first with admissible bounds (for
-    max, the smaller of an eccentricity-plus-distinct-pairs bound and a
+    lexicographically smallest) from spectrum(h, g), under its default cap;
+    method='bnb' searches depth-first with admissible bounds (for max, the
+    smaller of an eccentricity-plus-distinct-pairs bound and a
     distinct-pairs bound) and Aut(H)-orbit symmetry breaking, and returns
     the first optimal witness it completes: an optimum, not necessarily the
     lexicographically smallest (see _branch_and_bound).
@@ -279,7 +279,7 @@ def extremal_number(
         return _branch_and_bound(h, g, sense)
     if method != "exhaustive":
         raise GraphError(f"method must be 'exhaustive' or 'bnb', got {method!r}")
-    report = spectrum(h, g, max_n)
+    report = spectrum(h, g)
     if sense == "min":
         return report.min, report.min_witness
     return report.max, report.max_witness
@@ -321,20 +321,14 @@ def contains_subgraph(h: Graph, g: Graph) -> bool:
     Equivalent to the minimum sum hitting its floor |E(H)|: a bijection
     achieves distance exactly 1 on every H-edge iff it embeds H into G.
     """
-    _check_same_order(h, g)
-    value, _ = extremal_number(h, g, "min")
-    return value == len(h.edges)
+    return spectrum(h, g).min == len(h.edges)
 
 
 def isomorphic_via_h(h: Graph, g: Graph) -> bool:
     """True iff G and H are isomorphic, decided through the minimum sum.
 
-    Requires equal vertex and edge counts; then a subgraph embedding of H
-    into G is forced to be onto the edges of G as well.
+    Graphs with different vertex or edge counts are not isomorphic; with
+    equal counts, a subgraph embedding of H into G is forced to be onto the
+    edges of G as well.
     """
-    _check_same_order(h, g)
-    if len(h.edges) != len(g.edges):
-        raise GraphError(
-            f"edge counts differ: H has {len(h.edges)}, G has {len(g.edges)}"
-        )
-    return contains_subgraph(h, g)
+    return h.n == g.n and len(h.edges) == len(g.edges) and contains_subgraph(h, g)

@@ -31,7 +31,7 @@ from .graphs import (
     render_graph,
     _spanning_tree_iter,
 )
-from .spectra import extremal_number
+from .spectra import spectrum
 
 # n=8 holds 11117 classes; enumerating them takes about 18 s (0.2 s at n=7;
 # timings in the kernels module docstring), while scoring them all against
@@ -116,7 +116,7 @@ def verify_closed_forms(n_max: int) -> VerificationReport:
     for n in range(2, n_max + 1):
         path = make_path(n)
         expected_open = n * n // 2 - 1
-        got, _ = extremal_number(make_path(n), path, "max", max_n=n)
+        got = spectrum(path, path, max_n=n).max
         checked += 1
         if got != expected_open:
             failures.append(
@@ -124,7 +124,7 @@ def verify_closed_forms(n_max: int) -> VerificationReport:
             )
         if n >= 3:
             expected_closed = n * n // 2
-            got, _ = extremal_number(make_cycle(n), path, "max", max_n=n)
+            got = spectrum(make_cycle(n), path, max_n=n).max
             checked += 1
             if got != expected_closed:
                 failures.append(
@@ -184,6 +184,7 @@ def verify_upper_bound(
     hs, graphs = _upper_bound_items(n, h_family)
     shapes = [classify_shape(g) for g in graphs]
     dists = np.stack([distance_matrix(g) for g in graphs])
+    path = make_path(n)
     done = set()
     if progress_path and os.path.exists(progress_path):
         try:
@@ -196,7 +197,7 @@ def verify_upper_bound(
     log = open(progress_path, "a", encoding="ascii") if progress_path else None
     try:
         for h_name, h in hs:
-            bound, _ = extremal_number(h, make_path(n), "max", max_n=n)
+            bound = spectrum(h, path).max
             checked += len(graphs)
             todo = range(len(graphs))
             stack = dists

@@ -98,7 +98,7 @@ def test_criterion_4_pathify_instances():
             weight = step.weight_after
         assert trace.final_sum >= trace.initial_sum
         if n <= 8:
-            bound, _ = extremal_number(h, make_path(n), "max", max_n=8)
+            bound, _ = extremal_number(h, make_path(n), "max")
             assert trace.final_sum <= bound
     _verdict(4, "1000 tree-to-path traces, n<=10", started)
 

@@ -467,7 +467,7 @@ def test_pathify_general_random_bound():
         f = random_bijection(n, rng)
         trace = pathify_general(g, h, f)
         assert trace.final_sum >= trace.initial_sum == pseudo_sum(h, g, f)
-        bound, _ = extremal_number(h, make_path(n), "max", max_n=8)
+        bound, _ = extremal_number(h, make_path(n), "max")
         assert trace.final_sum <= bound
         assert is_tree(trace.spanning_tree)
         assert set(trace.spanning_tree.edges) <= set(g.edges)

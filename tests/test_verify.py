@@ -212,9 +212,9 @@ def _reference_upper_bound(n, h_family):
     failures = []
     values = []
     for h_name, h in hs:
-        bound, _ = extremal_number(h, make_path(n), "max", max_n=n)
+        bound, _ = extremal_number(h, make_path(n), "max")
         for g in graphs:
-            value, _ = extremal_number(h, g, "max", max_n=n)
+            value, _ = extremal_number(h, g, "max")
             values.append((render_graph(g), value))
             shape = classify_shape(g)
             if value > bound or (value == bound) != (shape == "path"):
@@ -280,7 +280,7 @@ def test_upper_bound_full_n7_sweep():
 def test_upper_bound_failure_reports_the_batched_value(tmp_path, monkeypatch):
     n = 5
     target = enumerate_connected_graphs(n)[3]
-    bound, _ = extremal_number(make_path(n), make_path(n), "max", max_n=n)
+    bound, _ = extremal_number(make_path(n), make_path(n), "max")
     target_dist = distance_matrix(target)
     max_sums = kernels.max_sums
 
