@@ -2,15 +2,16 @@
 
 Every kernel asks one question of each permutation p: which pair
 {p[u], p[v]} does each edge (u, v) of H land on? _landings answers it, for
-any symmetric matrix, over the cached lexicographic table of permutations,
+any square matrix, over the cached lexicographic table of permutations,
 built once per n <= 8 (2.6 MB at n = 8), in lexicographic blocks: a prefix
 of k = max(n - 8, 0) fixed vertices followed by the remaining vertices
 arranged by the table, so no larger table is ever built and for n <= 8 the
 one block is the table itself. The blocks come in global lexicographic
 order, so the first permutation attaining an extreme is the
-lexicographically smallest one. Per block, each edge is one take from a
-table of at most 64 entries, at an index column that depends only on the
-edge's two positions and so is built once per walk.
+lexicographically smallest one. Each block reorders the matrix by its
+vertex order once, and each edge is one take from that table of n^2 <= 81
+entries, at the flat column of the edge's two positions, built once per
+walk.
 
 Three kernels read that one walk, each with its own matrix:
 
@@ -58,49 +59,36 @@ def _permutation_table(n: int) -> np.ndarray:
 
 
 def _landings(matrix: np.ndarray, edges):
-    """Yield (prefix, rest, values) per lexicographic block of the n! permutations p.
+    """Yield (order, values) per lexicographic block of the n! permutations p.
 
-    prefix runs over the tuples of k = max(n - 8, 0) distinct vertices in
-    lexicographic order and rest holds the other vertices in ascending
-    order; the block is prefix + rest[t] for the rows t of the cached
-    (n - k)! table. values yields matrix[p[u], p[v]] over the block, one
-    entry per edge (u, v), in edge order: a take from the rest-by-rest table
-    at a flat pair column when both ends are past the prefix, a take from
-    the prefix vertex's row over rest when one end is, and one number when
-    neither is. matrix must be symmetric, so either orientation reads the
-    same. Drop each column before asking for the next: holding two at once
-    made 10! scans about 30% slower.
+    order is a prefix of k = max(n - 8, 0) distinct vertices, the prefixes
+    coming in lexicographic order, then the other vertices in ascending
+    order; the block maps each vertex u to order[pos[u]], where
+    pos[u] is u inside the prefix and k plus u's column of the cached
+    (n - k)! table past it. values yields matrix[p[u], p[v]] over the block,
+    one entry per edge (u, v), in edge order: one take from matrix reordered
+    by order, at the flat column pos[u] * n + pos[v]. Drop each column
+    before asking for the next: holding two at once made 10! scans about
+    30% slower.
     """
     n = matrix.shape[0]
     k = max(n - _TABLE_N, 0)
-    s = n - k
-    # columns[j] is the index into rest of the vertex at position k + j
-    columns = np.ascontiguousarray(_permutation_table(s).T, dtype=np.uint8)
-    # per edge (a, b, column): prefix positions a and b, or None past it
-    landings = []
-    for u, v in edges:
-        if u >= k and v >= k:
-            landings.append((None, None, columns[u - k] * np.uint8(s) + columns[v - k]))
-        elif u >= k or v >= k:
-            a, j = (u, v) if u < k else (v, u)
-            landings.append((a, None, columns[j - k]))
-        else:
-            landings.append((u, v, None))
+    # row j is the position of vertex k + j in each row of the table
+    rest_pos = np.ascontiguousarray(_permutation_table(n - k).T, dtype=np.uint8)
+    rest_pos += np.uint8(k)
+    pos = [*range(k), *rest_pos]
+    # uint8 holds every flat column, below n * n <= 256 for n <= 16
+    columns = [pos[u] * n + pos[v] for u, v in edges]
 
-    def values(prefix, rest):
-        pairs = matrix[np.ix_(rest, rest)].ravel()
-        for a, b, column in landings:
-            if a is None:
-                yield pairs.take(column)
-            elif b is None:
-                yield matrix[prefix[a], rest].take(column)
-            else:
-                yield matrix[prefix[a], prefix[b]]
+    def values(order):
+        pairs = matrix[np.ix_(order, order)].ravel()
+        for column in columns:
+            yield pairs.take(column)
 
     for prefix in itertools.permutations(range(n), k):
         # not np.setdiff1d: its first call alone adds about 1.7 MB of RSS
-        rest = np.array([v for v in range(n) if v not in prefix], dtype=np.int64)
-        yield prefix, rest, values(prefix, rest)
+        order = np.array([*prefix, *[v for v in range(n) if v not in prefix]], dtype=np.int64)
+        yield order, values(order)
 
 
 def code_columns(n: int, edges) -> np.ndarray:
@@ -116,7 +104,7 @@ def code_columns(n: int, edges) -> np.ndarray:
     """
     if n > _TABLE_N:
         raise ValueError(f"canonical codes need n <= {_TABLE_N}, got n={n}")
-    ((_, _, values),) = _landings(_pair_weights(n), edges)
+    ((_, values),) = _landings(_pair_weights(n), edges)
     out = np.empty((math.factorial(n), len(edges)), dtype=np.int64)
     for e, column in enumerate(values):
         out[:, e] = column
@@ -152,8 +140,8 @@ def scan_sums(dist: np.ndarray, edges):
     counts[s] is the number of permutations p with sum over edges (u, v) of
     dist[p[u], p[v]] equal to s, and each witness is the lexicographically
     first permutation attaining its extreme. Each block adds its edges'
-    _landings values, a take from a table of at most 64 distances each, to
-    an int32 sum per permutation.
+    _landings values, a take from a table of n^2 <= 81 distances each, to an
+    int32 sum per permutation.
     """
     n = dist.shape[0]
     table = _permutation_table(min(n, _TABLE_N))
@@ -166,7 +154,7 @@ def scan_sums(dist: np.ndarray, edges):
     min_wit = np.zeros(n, dtype=np.int64)
     max_wit = np.zeros(n, dtype=np.int64)
     best_min, best_max = top + 1, -1
-    for prefix, rest, values in _landings(dist.astype(np.int32), edges):
+    for order, values in _landings(dist.astype(np.int32), edges):
         sums.fill(0)
         for column in values:
             sums += column
@@ -175,13 +163,13 @@ def scan_sums(dist: np.ndarray, edges):
         i = int(sums.argmin())
         if sums[i] < best_min:
             best_min = int(sums[i])
-            min_wit[:k] = prefix
-            min_wit[k:] = rest[table[i]]
+            min_wit[:k] = order[:k]
+            min_wit[k:] = order[k + table[i]]
         i = int(sums.argmax())
         if sums[i] > best_max:
             best_max = int(sums[i])
-            max_wit[:k] = prefix
-            max_wit[k:] = rest[table[i]]
+            max_wit[:k] = order[:k]
+            max_wit[k:] = order[k + table[i]]
     return counts, best_min, best_max, min_wit, max_wit
 
 
@@ -213,7 +201,7 @@ def max_sums(dists: np.ndarray, edges) -> np.ndarray:
     best = np.zeros(k, dtype=np.float64)
     incidence = np.empty((math.factorial(min(n, _TABLE_N)), rows.size), dtype=np.float64)
     perm_rows = np.arange(incidence.shape[0])
-    for _, _, values in _landings(index, edges):
+    for _, values in _landings(index, edges):
         incidence.fill(0.0)
         for column in values:
             incidence[perm_rows, column] = 1.0

@@ -27,8 +27,8 @@ from .graphs import (
     _bfs,
 )
 
-# n! grows too fast for exhaustive scans much past this; spectrum is the one
-# function that takes a higher cap.
+# n! grows too fast for exhaustive scans much past this; spectrum refuses
+# larger n, and every exhaustive answer reads spectrum
 EXHAUSTIVE_CAP = 9
 
 
@@ -91,18 +91,20 @@ class SpectrumReport:
         }
 
 
-def spectrum(h: Graph, g: Graph, max_n: int = EXHAUSTIVE_CAP) -> SpectrumReport:
+def spectrum(h: Graph, g: Graph) -> SpectrumReport:
     """Every achievable sum over all bijections, with multiplicities.
 
     Witnesses are the lexicographically smallest bijections attaining the
     extremes, so reports are reproducible across runs. The scan covers all
-    n! bijections, so n above max_n is refused.
+    n! bijections, so n above EXHAUSTIVE_CAP is refused.
     """
     _check_same_order(h, g)
     if not is_connected(g):
         raise GraphError("spectrum needs a connected G")
-    if g.n > max_n:
-        raise GraphError(f"exhaustive scan over {g.n}! permutations exceeds cap n <= {max_n}")
+    if g.n > EXHAUSTIVE_CAP:
+        raise GraphError(
+            f"exhaustive scan over {g.n}! permutations exceeds cap n <= {EXHAUSTIVE_CAP}"
+        )
     dg = distance_matrix(g)
     counts, best_min, best_max, min_wit, max_wit = kernels.scan_sums(dg, h.edges)
     values = tuple((s, int(c)) for s, c in enumerate(counts) if c)

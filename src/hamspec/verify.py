@@ -108,6 +108,7 @@ def verify_closed_forms(n_max: int) -> VerificationReport:
 
     For the n-vertex path, the maximum open-tour sum is floor(n^2/2) - 1
     (n >= 2) and the maximum closed-tour sum is floor(n^2/2) (n >= 3).
+    Each is read from spectrum, so n_max above EXHAUSTIVE_CAP is refused.
     """
     if n_max < 2:
         raise GraphError(f"closed forms start at n=2, got n_max={n_max}")
@@ -116,7 +117,7 @@ def verify_closed_forms(n_max: int) -> VerificationReport:
     for n in range(2, n_max + 1):
         path = make_path(n)
         expected_open = n * n // 2 - 1
-        got = spectrum(path, path, max_n=n).max
+        got = spectrum(path, path).max
         checked += 1
         if got != expected_open:
             failures.append(
@@ -124,7 +125,7 @@ def verify_closed_forms(n_max: int) -> VerificationReport:
             )
         if n >= 3:
             expected_closed = n * n // 2
-            got = spectrum(make_cycle(n), path, max_n=n).max
+            got = spectrum(make_cycle(n), path).max
             checked += 1
             if got != expected_closed:
                 failures.append(

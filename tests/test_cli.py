@@ -125,6 +125,11 @@ def test_transform_rejects_bad_bijection(files, capsys):
         capsys, "transform", "--tree", files["spider"], "--h", "path", "--f", "a,b"
     )
     assert code == 2
+    # an empty --f is not the identity
+    code, out, err = run(capsys, "transform", "--tree", files["spider"], "--h", "path", "--f", "")
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1
 
 
 def test_transform_rejects_non_tree(files, capsys):
@@ -149,6 +154,11 @@ def test_verify_families(files, capsys):
     payload = json.loads(out)
     assert payload_code == 0
     assert payload["passed"] is True
+    # closed forms read spectrum, which refuses n above the exhaustive cap
+    code, out, err = run(capsys, "verify", "closed-forms", "--n", "10")
+    assert code == 1
+    assert out == ""
+    assert "exceeds cap n <= 9" in err
 
 
 def test_verify_resume_flag(files, tmp_path, capsys):

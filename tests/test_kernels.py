@@ -45,8 +45,8 @@ def test_scan_sums_witnesses_are_lex_smallest():
         (g8, [(0, 3), (1, 6), (2, 7), (3, 5), (4, 6), (0, 7)]),
         # block route: one block of the 8! table per first vertex
         (g9, list(make_path(9).edges)),
-        # edges at the prefix vertex 0 (one given reversed) read its
-        # distance row; the others read the suffix pair table
+        # edges at the prefix vertex 0, one given reversed, land at its
+        # constant position 0; the others at positions from the 8! table
         (g9b, [(0, 1), (0, 4), (8, 0), (2, 3), (5, 7), (3, 6)]),
     ]
     for g, edges in instances:
@@ -103,7 +103,7 @@ def _block_gather_scan(dist, edges):
 
 def test_scan_sums_prefix_to_prefix_edge():
     # n = 10 puts vertices 0 and 1 in the prefix, so edge (0, 1) is a
-    # per-block constant; the others cover the other two edge classes
+    # per-block constant; the others have one or no end in the prefix
     rng = random.Random(1001)
     g = build_graph(10, [(rng.randrange(i), i) for i in range(1, 10)] + [(1, 9), (3, 6)])
     dist = distance_matrix(g)
@@ -248,6 +248,8 @@ def test_max_sums_matches_scan_sums():
     # number per block, and prefix-to-rest edges come in both orientations
     g = build_graph(10, [(rng.randrange(i), i) for i in range(1, 10)] + [(1, 9), (2, 6)])
     cases.append((distance_matrix(g)[None], [(0, 1), (1, 5), (9, 0), (2, 3), (3, 8), (6, 7)]))
+    # the edge inside the prefix given reversed, as (1, 0)
+    cases.append((distance_matrix(g)[None], [(1, 0), (5, 1), (0, 9), (2, 3), (8, 3)]))
     for dists, edges in cases:
         want = [kernels.scan_sums(d, edges)[2] for d in dists]
         got = kernels.max_sums(dists, edges)

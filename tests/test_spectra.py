@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamspec import kernels
 from hamspec.generate import random_bijection, random_connected_graph
 from hamspec.graphs import (
     GraphError,
@@ -108,20 +109,22 @@ def test_spectrum_requires_connected_host():
 
 
 def test_spectrum_respects_cap():
+    p10 = make_path(10)
     with pytest.raises(GraphError):
-        spectrum(make_path(10), make_path(10))
-    rep = spectrum(make_path(10), make_path(10), max_n=10)
-    assert rep.min == 9
+        spectrum(p10, p10)
+    # the kernel itself has no cap
+    _, best_min, _, _, _ = kernels.scan_sums(distance_matrix(p10), p10.edges)
+    assert best_min == 9
 
 
 def test_extremal_number_respects_cap():
     p10 = make_path(10)
     with pytest.raises(GraphError, match="exceeds cap"):
         extremal_number(p10, p10, "max")
-    rep = spectrum(p10, p10, max_n=10)
+    _, _, best_max, _, max_wit = kernels.scan_sums(distance_matrix(p10), p10.edges)
     # the open-tour closed form floor(n^2/2) - 1
-    assert rep.max == 49
-    assert pseudo_sum(p10, p10, rep.max_witness) == 49
+    assert best_max == 49
+    assert pseudo_sum(p10, p10, max_wit) == 49
 
 
 def test_subgraph_and_isomorphism_keep_the_cap():
