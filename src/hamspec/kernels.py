@@ -3,8 +3,9 @@
 Every kernel asks one question of each permutation p: which pair
 {p[u], p[v]} does each edge (u, v) of H land on? _landings answers it, for
 any square matrix, over the cached lexicographic table of permutations,
-built once per n <= 8 (2.6 MB at n = 8), in lexicographic blocks: a prefix
-of k = max(n - 8, 0) fixed vertices followed by the remaining vertices
+built once per n <= 8 and held as one uint8 position per vertex and
+permutation (0.3 MB at n = 8), in lexicographic blocks: a prefix of
+k = max(n - 8, 0) fixed vertices followed by the remaining vertices
 arranged by the table, so no larger table is ever built and for n <= 8 the
 one block is the table itself. The blocks come in global lexicographic
 order, so the first permutation attaining an extreme is the
@@ -13,7 +14,7 @@ vertex order once, and each edge is one take from that table of n^2 <= 81
 entries, at the flat column of the edge's two positions, built once per
 walk.
 
-Three kernels read that one walk, each with its own matrix:
+Three kernels read that one walk, with two matrices between them:
 
 - scan_sums reads G's distances and adds them up per permutation: the
   spectrum, its extremes and their witnesses. A 9! scan takes about
@@ -23,12 +24,13 @@ Three kernels read that one walk, each with its own matrix:
   the G-distances of a whole stack of graphs gives every sum. It scores
   the 853 connected classes at n = 7 in about 0.01 s per H, and the 11117
   at n = 8 in about 1 s per H.
-- code_columns reads the code bit of each position pair, for n <= 8 only:
-  a graph's code under every ordering is the sum of its edges' columns,
-  and the minimum is its canonical code. The class enumeration in
-  verify.py extends one base graph to all its one-vertex extensions by
-  subset sums of those columns; it takes about 0.1-0.2 s for the 853
-  classes at n = 7 and about 18 s for the 11117 at n = 8.
+- code_columns reads the same pair index and turns each landing into the
+  code bit of its pair, for n <= 8 only: a graph's code under every
+  ordering is the sum of its edges' columns, and the minimum is its
+  canonical code. The class enumeration in verify.py extends one base
+  graph to all its one-vertex extensions by subset sums of those columns;
+  it takes about 0.1-0.2 s for the 853 classes at n = 7 and about 18 s for
+  the 11117 at n = 8.
 
 Timings are Python 3.11, numpy 2.4, one core of a 2-core Xeon.
 """
@@ -41,54 +43,47 @@ from functools import lru_cache
 
 import numpy as np
 
-# the largest n whose whole permutation table is cached: 8! rows take
-# 2.6 MB, where 9! would take 26 MB
+# the largest n whose whole permutation table is cached (0.3 MB of uint8
+# positions at n = 8); larger n walk lexicographic blocks of it
 _TABLE_N = 8
 
 
 @lru_cache(maxsize=_TABLE_N)
 def _permutation_table(n: int) -> np.ndarray:
-    """All n! permutations of range(n) as rows, in lexicographic order."""
-    table = np.fromiter(
-        itertools.chain.from_iterable(itertools.permutations(range(n))),
-        dtype=np.int64,
-    ).reshape(-1, n)
-    # shared by every caller, and scans read it without a copy
+    """All n! permutations of range(n) in lexicographic order, as uint8
+    positions: entry [v, r] is vertex v's position in permutation r."""
+    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    table = np.fromiter(flat, dtype=np.uint8).reshape(-1, n).T.copy()
+    # shared by every caller, and walks read it without a copy
     table.setflags(write=False)
     return table
 
 
 def _landings(matrix: np.ndarray, edges):
-    """Yield (order, values) per lexicographic block of the n! permutations p.
+    """Return (columns, blocks) for the lexicographic blocks of the n! permutations p.
 
-    order is a prefix of k = max(n - 8, 0) distinct vertices, the prefixes
-    coming in lexicographic order, then the other vertices in ascending
-    order; the block maps each vertex u to order[pos[u]], where
-    pos[u] is u inside the prefix and k plus u's column of the cached
-    (n - k)! table past it. values yields matrix[p[u], p[v]] over the block,
-    one entry per edge (u, v), in edge order: one take from matrix reordered
-    by order, at the flat column pos[u] * n + pos[v]. Drop each column
-    before asking for the next: holding two at once made 10! scans about
-    30% slower.
+    blocks yields (order, pairs) per block. order is a prefix of
+    k = max(n - 8, 0) distinct vertices, the prefixes coming in
+    lexicographic order, then the other vertices in ascending order; the
+    block maps each vertex u to order[pos[u]], where pos[u] is u inside the
+    prefix and k plus u's row of the cached (n - k)! table past it. pairs
+    is matrix reordered by order and flattened, and columns holds one flat
+    column pos[u] * n + pos[v] per edge (u, v), in edge order, so that
+    pairs.take(column) is matrix[p[u], p[v]] over the block.
     """
     n = matrix.shape[0]
     k = max(n - _TABLE_N, 0)
-    # row j is the position of vertex k + j in each row of the table
-    rest_pos = np.ascontiguousarray(_permutation_table(n - k).T, dtype=np.uint8)
-    rest_pos += np.uint8(k)
-    pos = [*range(k), *rest_pos]
+    pos = [*range(k), *(_permutation_table(n - k) + np.uint8(k))]
     # uint8 holds every flat column, below n * n <= 256 for n <= 16
     columns = [pos[u] * n + pos[v] for u, v in edges]
 
-    def values(order):
-        pairs = matrix[np.ix_(order, order)].ravel()
-        for column in columns:
-            yield pairs.take(column)
+    def blocks():
+        for prefix in itertools.permutations(range(n), k):
+            # not np.setdiff1d: its first call alone adds about 1.7 MB of RSS
+            order = np.array([*prefix, *[v for v in range(n) if v not in prefix]], dtype=np.int64)
+            yield order, matrix[np.ix_(order, order)].ravel()
 
-    for prefix in itertools.permutations(range(n), k):
-        # not np.setdiff1d: its first call alone adds about 1.7 MB of RSS
-        order = np.array([*prefix, *[v for v in range(n) if v not in prefix]], dtype=np.int64)
-        yield order, values(order)
+    return columns, blocks()
 
 
 def code_columns(n: int, edges) -> np.ndarray:
@@ -96,19 +91,20 @@ def code_columns(n: int, edges) -> np.ndarray:
 
     Row r reads permutation r of the lexicographic table as the map vertex ->
     position, and entry (r, e) is the bit that edge e sets in the code of
-    that ordering: the weight of the position pair it lands on, the first
-    pair of the upper triangle being the most significant bit. A graph's
-    code under ordering r is the sum of its edges' entries in row r; the
-    minimum over all n! rows is its canonical code, and the number of rows
-    attaining it is its automorphism count.
+    that ordering: bit m - 1 - i for the i-th position pair it lands on, the
+    first pair of the upper triangle being the most significant bit. A
+    graph's code under ordering r is the sum of its edges' entries in row r;
+    the minimum over all n! rows is its canonical code, and the number of
+    rows attaining it is its automorphism count.
     """
     if n > _TABLE_N:
         raise ValueError(f"canonical codes need n <= {_TABLE_N}, got n={n}")
-    ((_, values),) = _landings(_pair_weights(n), edges)
+    rows, _, index = _pair_index(n)
+    columns, blocks = _landings(index, edges)
+    ((_, pairs),) = blocks
     out = np.empty((math.factorial(n), len(edges)), dtype=np.int64)
-    for e, column in enumerate(values):
-        out[:, e] = column
-        del column
+    for e, column in enumerate(columns):
+        out[:, e] = 1 << (rows.size - 1 - pairs.take(column))
     return out
 
 
@@ -126,50 +122,42 @@ def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, index
 
 
-def _pair_weights(n: int) -> np.ndarray:
-    """Symmetric matrix of the code bit each position pair sets, first pair highest."""
-    rows, cols, index = _pair_index(n)
-    weights = np.int64(1) << (rows.size - 1 - index)
-    np.fill_diagonal(weights, 0)
-    return weights
-
-
 def scan_sums(dist: np.ndarray, edges):
     """Exhaustive sum scan; returns (counts, min, max, min_witness, max_witness).
 
     counts[s] is the number of permutations p with sum over edges (u, v) of
     dist[p[u], p[v]] equal to s, and each witness is the lexicographically
-    first permutation attaining its extreme. Each block adds its edges'
-    _landings values, a take from a table of n^2 <= 81 distances each, to an
-    int32 sum per permutation.
+    first permutation attaining its extreme. Each block adds one take per
+    edge from its _landings pairs, n^2 <= 81 distances, to an int32 sum per
+    permutation.
     """
     n = dist.shape[0]
     table = _permutation_table(min(n, _TABLE_N))
-    k = n - table.shape[1]
+    k = n - table.shape[0]
     m = len(edges)
     top = int(m * dist.max()) if m else 0
     # a sum is at most m * diam(G) <= 66 * 11 for n <= 12, so int32 holds it
-    sums = np.empty(table.shape[0], dtype=np.int32)
+    sums = np.empty(table.shape[1], dtype=np.int32)
     counts = np.zeros(top + 1, dtype=np.int64)
     min_wit = np.zeros(n, dtype=np.int64)
     max_wit = np.zeros(n, dtype=np.int64)
     best_min, best_max = top + 1, -1
-    for order, values in _landings(dist.astype(np.int32), edges):
+    columns, blocks = _landings(dist.astype(np.int32), edges)
+    for order, pairs in blocks:
         sums.fill(0)
-        for column in values:
-            sums += column
-            del column
+        for column in columns:
+            sums += pairs.take(column)
         counts += np.bincount(sums, minlength=top + 1)
         i = int(sums.argmin())
         if sums[i] < best_min:
             best_min = int(sums[i])
             min_wit[:k] = order[:k]
-            min_wit[k:] = order[k + table[i]]
+            min_wit[k:] = order[k + table[:, i]]
         i = int(sums.argmax())
         if sums[i] > best_max:
             best_max = int(sums[i])
             max_wit[:k] = order[:k]
-            max_wit[k:] = order[k + table[i]]
+            max_wit[k:] = order[k + table[:, i]]
     return counts, best_min, best_max, min_wit, max_wit
 
 
@@ -201,11 +189,11 @@ def max_sums(dists: np.ndarray, edges) -> np.ndarray:
     best = np.zeros(k, dtype=np.float64)
     incidence = np.empty((math.factorial(min(n, _TABLE_N)), rows.size), dtype=np.float64)
     perm_rows = np.arange(incidence.shape[0])
-    for _, values in _landings(index, edges):
+    columns, blocks = _landings(index, edges)
+    for _, pairs in blocks:
         incidence.fill(0.0)
-        for column in values:
-            incidence[perm_rows, column] = 1.0
-            del column
+        for column in columns:
+            incidence[perm_rows, pairs.take(column)] = 1.0
         for r in range(0, incidence.shape[0], tile_rows):
             np.maximum(best, (incidence[r : r + tile_rows] @ pair_dists).max(axis=0), out=best)
     return best.astype(np.int64)
@@ -214,7 +202,7 @@ def max_sums(dists: np.ndarray, edges) -> np.ndarray:
 def edges_from_code(n: int, code: int) -> tuple[tuple[int, int], ...]:
     """Invert the canonical bit packing back into an edge tuple.
 
-    Pair k of _pair_index(n) is bit m - 1 - k of the code, as _pair_weights
+    Pair k of _pair_index(n) is bit m - 1 - k of the code, as code_columns
     packs it.
     """
     rows, cols, _ = _pair_index(n)

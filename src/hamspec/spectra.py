@@ -32,6 +32,14 @@ from .graphs import (
 EXHAUSTIVE_CAP = 9
 
 
+def _check_scan_cap(n: int) -> None:
+    """Refuse an exhaustive scan over n! bijections for n above EXHAUSTIVE_CAP."""
+    if n > EXHAUSTIVE_CAP:
+        raise GraphError(
+            f"exhaustive scan over {n}! permutations exceeds cap n <= {EXHAUSTIVE_CAP}"
+        )
+
+
 def _check_same_order(h: Graph, g: Graph) -> None:
     if h.n != g.n:
         raise GraphError(f"vertex counts differ: H has {h.n}, G has {g.n}")
@@ -101,10 +109,7 @@ def spectrum(h: Graph, g: Graph) -> SpectrumReport:
     _check_same_order(h, g)
     if not is_connected(g):
         raise GraphError("spectrum needs a connected G")
-    if g.n > EXHAUSTIVE_CAP:
-        raise GraphError(
-            f"exhaustive scan over {g.n}! permutations exceeds cap n <= {EXHAUSTIVE_CAP}"
-        )
+    _check_scan_cap(g.n)
     dg = distance_matrix(g)
     counts, best_min, best_max, min_wit, max_wit = kernels.scan_sums(dg, h.edges)
     values = tuple((s, int(c)) for s, c in enumerate(counts) if c)

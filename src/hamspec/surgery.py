@@ -86,6 +86,13 @@ def _nearer(d: np.ndarray, near: int, far: int) -> np.ndarray:
     return d[near] < d[far]
 
 
+def _arms(d: np.ndarray, junction: Junction) -> list[str]:
+    """Which fork arm's side of the tree (distances d) holds each vertex."""
+    on_a = _nearer(d, junction.arm_a, junction.fork).tolist()
+    on_b = _nearer(d, junction.arm_b, junction.fork).tolist()
+    return [ARM_A if a else ARM_B if b else NEITHER for a, b in zip(on_a, on_b)]
+
+
 def _tree_distances(t: Graph, *edges: tuple[int, int]) -> np.ndarray:
     """The distance matrix of a tree, once each pair is checked to be one of its edges."""
     if not is_tree(t):
@@ -149,11 +156,7 @@ def classify_pair(
         raise GraphError(f"vertices ({a}, {b}) out of range for n={t.n}")
     if a not in spur_side or b in spur_side:
         raise GraphError(f"pair ({a}, {b}) does not straddle the stub-fork cut")
-    if _nearer(d, junction.arm_a, junction.fork)[b]:
-        return ARM_A
-    if _nearer(d, junction.arm_b, junction.fork)[b]:
-        return ARM_B
-    return NEITHER
+    return _arms(d, junction)[b]
 
 
 def linked_cross_pairs(h: Graph, f, spur_side: frozenset[int]) -> frozenset[tuple[int, int]]:
@@ -216,11 +219,9 @@ def choose_transform(t: Graph, h: Graph, f, triple: LeafTriple) -> TransformStep
     f = _check_bijection(f, t.n)
     junction = find_junction(t, triple)
     linked = linked_cross_pairs(h, f, spur_component(t, junction))
-    d = distance_matrix(t)
-    on_arm_a = _nearer(d, junction.arm_a, junction.fork).tolist()
-    on_arm_b = _nearer(d, junction.arm_b, junction.fork).tolist()
-    n_arm_a = sum(on_arm_a[y] for _, y in linked)
-    n_arm_b = sum(on_arm_b[y] for _, y in linked)
+    arms = _arms(distance_matrix(t), junction)
+    linked_arms = [arms[y] for _, y in linked]
+    n_arm_a, n_arm_b = linked_arms.count(ARM_A), linked_arms.count(ARM_B)
     to_a, to_b = rewire(t, junction, triple)
     choice = "end_a" if n_arm_a <= n_arm_b else "end_b"
     after = to_a if choice == "end_a" else to_b

@@ -31,7 +31,7 @@ from .graphs import (
     render_graph,
     _spanning_tree_iter,
 )
-from .spectra import spectrum
+from .spectra import _check_scan_cap, spectrum
 
 # n=8 holds 11117 classes; enumerating them takes about 18 s (0.2 s at n=7;
 # timings in the kernels module docstring), while scoring them all against
@@ -108,10 +108,12 @@ def verify_closed_forms(n_max: int) -> VerificationReport:
 
     For the n-vertex path, the maximum open-tour sum is floor(n^2/2) - 1
     (n >= 2) and the maximum closed-tour sum is floor(n^2/2) (n >= 3).
-    Each is read from spectrum, so n_max above EXHAUSTIVE_CAP is refused.
+    Each is read from spectrum, so n_max above EXHAUSTIVE_CAP is refused
+    before any scan runs.
     """
     if n_max < 2:
         raise GraphError(f"closed forms start at n=2, got n_max={n_max}")
+    _check_scan_cap(n_max)
     failures = []
     checked = 0
     for n in range(2, n_max + 1):
@@ -230,6 +232,8 @@ def verify_spanning_tree_characterization(n_max: int) -> VerificationReport:
     """
     if n_max < 2:
         raise GraphError(f"spanning-tree sweeps start at n=2, got n_max={n_max}")
+    # refuses n_max above ENUMERATION_CAP before any smaller n is swept
+    enumerate_connected_graphs(n_max)
     failures = []
     checked = 0
     for n in range(2, n_max + 1):
@@ -253,6 +257,8 @@ def verify_non_articulation(n_max: int) -> VerificationReport:
     """
     if n_max < 2:
         raise GraphError(f"articulation sweeps start at n=2, got n_max={n_max}")
+    # refuses n_max above ENUMERATION_CAP before any smaller n is swept
+    enumerate_connected_graphs(n_max)
     failures = []
     checked = 0
     for n in range(2, n_max + 1):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .graphs import Graph, GraphError, build_graph
+from hamspec.graphs import Graph, GraphError, build_graph
 
 
 def random_tree(n: int, rng: random.Random) -> Graph:

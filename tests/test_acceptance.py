@@ -9,7 +9,7 @@ import math
 import random
 import time
 
-from hamspec.generate import random_bijection, random_connected_graph, random_tree
+from generate import random_bijection, random_connected_graph, random_tree
 from hamspec.graphs import (
     classify_shape,
     distance_matrix,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamspec.generate import random_connected_graph, random_tree
+from generate import random_connected_graph, random_tree
 from hamspec.graphs import (
     FormatError,
     _spanning_tree_iter,

@@ -68,7 +68,11 @@ def test_scan_sums_two_vertex_prefix():
     h = make_cycle(10)
     counts, lo, hi, mw, xw = kernels.scan_sums(distance_matrix(g), h.edges)
     assert kernels._permutation_table.cache_info().currsize == 1
-    assert kernels._permutation_table(8).shape == (math.factorial(8), 8)
+    # the one table form: vertex v's uint8 position in permutation r at [v, r]
+    table = kernels._permutation_table(8)
+    assert table.shape == (8, math.factorial(8))
+    assert table.dtype == np.uint8
+    assert not table.flags.writeable
     assert kernels._permutation_table.cache_info().misses == 1
     assert counts.sum() == math.factorial(10)
     assert lo == _branch_and_bound(h, g, "min")[0]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamspec import kernels
-from hamspec.generate import random_bijection, random_connected_graph
+from generate import random_bijection, random_connected_graph
 from hamspec.graphs import (
     GraphError,
     adjacency,

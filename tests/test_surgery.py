@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hamspec
-from hamspec.generate import random_bijection, random_connected_graph, random_tree
+from generate import random_bijection, random_connected_graph, random_tree
 from hamspec.graphs import (
     GraphError,
     build_graph,

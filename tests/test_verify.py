@@ -329,6 +329,26 @@ def test_non_articulation():
         verify_non_articulation(0)
 
 
+def test_sweeps_refuse_n_max_before_any_work(monkeypatch):
+    # an out-of-range n_max is refused before any smaller n is swept
+    def forbidden(*args):
+        raise AssertionError("swept a smaller n before refusing n_max")
+
+    for name in ("spectrum", "_spanning_tree_iter", "non_articulation_vertex"):
+        monkeypatch.setattr(verify_mod, name, forbidden)
+    refusals = [
+        (verify_closed_forms, 10, "exhaustive scan over 10! permutations exceeds cap n <= 9"),
+        (verify_closed_forms, 12, "exhaustive scan over 12! permutations exceeds cap n <= 9"),
+        (verify_spanning_tree_characterization, 8, "enumeration cap is n <= 7, got 8"),
+        (verify_non_articulation, 8, "enumeration cap is n <= 7, got 8"),
+        (verify_non_articulation, 9, "enumeration cap is n <= 7, got 9"),
+    ]
+    for sweep, n_max, message in refusals:
+        with pytest.raises(GraphError) as info:
+            sweep(n_max)
+        assert str(info.value) == message
+
+
 def test_report_formatting():
     passing = VerificationReport("demo", 3, ())
     assert passing.passed
