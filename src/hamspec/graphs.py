@@ -216,10 +216,13 @@ def first_spanning_tree(g: Graph) -> Graph:
 
     Kruskal's algorithm over the sorted edges: greedy on the graphic
     matroid returns its lexicographically first basis, which is the first
-    connected (n-1)-subset of the edges.
+    connected (n-1)-subset of the edges. A tree is its own only spanning
+    tree, so it comes back as the same object.
     """
     if not is_connected(g):
         raise GraphError("spanning trees require a connected graph")
+    if len(g.edges) == g.n - 1:
+        return g
     root = list(range(g.n))
 
     def find(v: int) -> int:

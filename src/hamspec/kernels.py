@@ -135,7 +135,7 @@ def scan_sums(dist: np.ndarray, edges):
     table = _permutation_table(min(n, _TABLE_N))
     k = n - table.shape[0]
     m = len(edges)
-    top = int(m * dist.max()) if m else 0
+    top = int(m * dist.max())
     # a sum is at most m * diam(G) <= 66 * 11 for n <= 12, so int32 holds it
     sums = np.empty(table.shape[1], dtype=np.int32)
     counts = np.zeros(top + 1, dtype=np.int64)

@@ -171,11 +171,12 @@ def _aut_orbit(adj: tuple[tuple[int, ...], ...], x0: int) -> set[int]:
 def _branch_and_bound(h: Graph, g: Graph, sense: str) -> tuple[int, tuple[int, ...]]:
     """Exact extremal sum by depth-first assignment with admissible bounds.
 
-    H-vertices are placed in descending degree order, and a partial
-    assignment is pruned when its bound cannot beat the incumbent strictly.
-    For min the bound is the finished edges plus 1 per remaining edge. For
-    max it is the finished edges plus the smaller of two bounds on the
-    remaining ones:
+    The minimum is the maximum over negated distances, so one search with
+    one bound serves both senses: it maximizes sign * d for sign = +1 (max)
+    or -1 (min) and returns sign times the best value. H-vertices are placed
+    in descending degree order, and a partial assignment is pruned when its
+    bound cannot beat the incumbent strictly. The bound, on sign * d, is the
+    finished edges plus the smaller of two bounds on the remaining ones:
 
     - each edge with one end u placed adds at most ecc_G(f(u)), and the
       edges with no end placed add at most the sum of that many largest
@@ -191,7 +192,8 @@ def _branch_and_bound(h: Graph, g: Graph, sense: str) -> tuple[int, tuple[int, .
     optimum completed, which need not be the lexicographically smallest.
     """
     n = g.n
-    dg = distance_matrix(g).tolist()
+    sign = 1 if sense == "max" else -1
+    dg = (sign * distance_matrix(g)).tolist()
     ecc = [max(row) for row in dg]
     top = [0]
     for d in sorted((dg[a][b] for a in range(n) for b in range(a + 1, n)), reverse=True):
@@ -206,16 +208,15 @@ def _branch_and_bound(h: Graph, g: Graph, sense: str) -> tuple[int, tuple[int, .
     for depth in range(n - 1, -1, -1):
         remaining[depth] = remaining[depth + 1] + len(placed_nbrs[depth])
         inner[depth] = inner[depth + 1] + later[depth]
-    orbit = _aut_orbit(h_adj, order[0]) if n else set()
+    orbit = _aut_orbit(h_adj, order[0])
     in_orbit = [depth > 0 and v in orbit for depth, v in enumerate(order)]
     # the cap added by placing order[depth] on gv: its edges to later vertices
     opening = [[k * e for e in ecc] for k in later]
     zero_row = [0] * n
-    maximize = sense == "max"
 
     fmap = [-1] * n
     used = [False] * n
-    best_val = -1 if maximize else math.inf
+    best_val = -math.inf
     best_wit: tuple[int, ...] = ()
 
     def search(depth: int, partial: int, cap: int) -> None:
@@ -237,19 +238,15 @@ def _branch_and_bound(h: Graph, g: Graph, sense: str) -> tuple[int, tuple[int, .
         opened = opening[depth]
         inner_top = top[inner[depth + 1]]
         remaining_top = top[remaining[depth + 1]]
-        left = remaining[depth + 1]
         for gv in range(fmap[order[0]] + 1 if in_orbit[depth] else 0, n):
             if used[gv]:
                 continue
             gained = partial + gains[gv]
             child_cap = closed + opened[gv]
-            if maximize:
-                bound = child_cap + inner_top
-                if bound > remaining_top:
-                    bound = remaining_top
-                if gained + bound <= best_val:
-                    continue
-            elif gained + left >= best_val:
+            bound = child_cap + inner_top
+            if bound > remaining_top:
+                bound = remaining_top
+            if gained + bound <= best_val:
                 continue
             used[gv] = True
             fmap[hv] = gv
@@ -258,7 +255,7 @@ def _branch_and_bound(h: Graph, g: Graph, sense: str) -> tuple[int, tuple[int, .
         fmap[hv] = -1
 
     search(0, 0, 0)
-    return int(best_val), best_wit
+    return sign * best_val, best_wit
 
 
 def extremal_number(
@@ -271,11 +268,12 @@ def extremal_number(
 
     method='exhaustive' reads the extreme and its witness (the
     lexicographically smallest) from spectrum(h, g), under its default cap;
-    method='bnb' searches depth-first with admissible bounds (for max, the
-    smaller of an eccentricity-plus-distinct-pairs bound and a
-    distinct-pairs bound) and Aut(H)-orbit symmetry breaking, and returns
-    the first optimal witness it completes: an optimum, not necessarily the
-    lexicographically smallest (see _branch_and_bound).
+    method='bnb' maximizes over distances negated for min, so both senses
+    run one depth-first search with one admissible bound (the smaller of an
+    eccentricity-plus-distinct-pairs bound and a distinct-pairs bound) and
+    Aut(H)-orbit symmetry breaking, and returns the first optimal witness it
+    completes: an optimum, not necessarily the lexicographically smallest
+    (see _branch_and_bound).
     """
     _check_same_order(h, g)
     if not is_connected(g):

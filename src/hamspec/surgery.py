@@ -20,7 +20,6 @@ from .graphs import (
     GraphError,
     adjacency,
     build_graph,
-    classify_shape,
     degrees,
     distance_matrix,
     first_spanning_tree,
@@ -245,38 +244,9 @@ def choose_transform(t: Graph, h: Graph, f, triple: LeafTriple) -> TransformStep
     return step
 
 
-def _is_path_graph(g: Graph) -> bool:
-    return g.n == 1 or classify_shape(g) == "path"
-
-
 def _next_triple(t: Graph) -> LeafTriple:
     low, second, third = sorted(leaves(t))[:3]
     return LeafTriple(end_a=low, end_b=second, spur=third)
-
-
-def _run_to_path(initial: Graph, tree: Graph, h: Graph, f) -> TransformTrace:
-    initial_sum = pseudo_sum(h, initial, f)
-    tree_sum = pseudo_sum(h, tree, f)
-    _require(tree_sum >= initial_sum, "spanning tree shortened a distance")
-    steps = []
-    current = tree
-    budget = branching_weight(tree)
-    while not _is_path_graph(current):
-        _require(len(steps) < max(budget, 1), "rewiring failed to terminate")
-        step = choose_transform(current, h, f, _next_triple(current))
-        steps.append(step)
-        current = step.after
-    final_sum = pseudo_sum(h, current, f)
-    return TransformTrace(
-        initial=initial,
-        f=tuple(f),
-        spanning_tree=tree,
-        initial_sum=initial_sum,
-        tree_sum=tree_sum,
-        steps=tuple(steps),
-        final=current,
-        final_sum=final_sum,
-    )
 
 
 def pathify(t: Graph, h: Graph, f) -> TransformTrace:
@@ -284,24 +254,44 @@ def pathify(t: Graph, h: Graph, f) -> TransformTrace:
 
     Each step folds the third-smallest leaf toward the two smallest, so the
     run is deterministic; the branching weight strictly decreases, bounding
-    the number of steps.
+    the number of steps, and the run ends when it reaches zero: a tree with
+    no branch vertex is a path.
     """
     if not is_tree(t):
         raise GraphError("pathify starts from a tree")
-    _check_same_order(h, t)
-    f = _check_bijection(f, t.n)
-    return _run_to_path(t, t, h, f)
+    return pathify_general(t, h, f)
 
 
 def pathify_general(g: Graph, h: Graph, f) -> TransformTrace:
     """Route any connected graph through its first spanning tree to a path.
 
     Spanning-tree distances only grow, so the final path sum still bounds
-    the starting sum from above.
+    the starting sum from above. A tree is its own spanning tree.
     """
     _check_same_order(h, g)
     f = _check_bijection(f, g.n)
-    return _run_to_path(g, first_spanning_tree(g), h, f)
+    tree = first_spanning_tree(g)
+    initial_sum = pseudo_sum(h, g, f)
+    tree_sum = pseudo_sum(h, tree, f)
+    _require(tree_sum >= initial_sum, "spanning tree shortened a distance")
+    steps = []
+    current = tree
+    budget = branching_weight(tree)
+    while branching_weight(current):
+        _require(len(steps) < budget, "rewiring failed to terminate")
+        step = choose_transform(current, h, f, _next_triple(current))
+        steps.append(step)
+        current = step.after
+    return TransformTrace(
+        initial=g,
+        f=f,
+        spanning_tree=tree,
+        initial_sum=initial_sum,
+        tree_sum=tree_sum,
+        steps=tuple(steps),
+        final=current,
+        final_sum=pseudo_sum(h, current, f),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -252,9 +252,12 @@ def test_spanning_trees_match_determinant_oracle():
 
 def test_first_spanning_tree():
     assert first_spanning_tree(make_cycle(4)) == build_graph(4, [(0, 1), (0, 3), (1, 2)])
-    assert first_spanning_tree(SPIDER) == SPIDER
+    assert first_spanning_tree(SPIDER) is SPIDER
     with pytest.raises(GraphError):
         first_spanning_tree(build_graph(3, [(0, 1)]))
+    # n - 1 edges but disconnected: a triangle beside an isolated vertex
+    with pytest.raises(GraphError):
+        first_spanning_tree(build_graph(4, [(0, 1), (1, 2), (0, 2)]))
 
 
 def test_first_spanning_tree_is_the_first_enumerated():

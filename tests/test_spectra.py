@@ -195,6 +195,10 @@ def test_branch_and_bound_agrees_with_exhaustive():
             expected, _ = extremal_number(h, g, sense)
             assert value == expected
             assert pseudo_sum(h, g, witness) == value
+    # H denser than G, where the min bound's distinct pairs reach past distance 1
+    for n in (7, 8, 9):
+        g = random_connected_graph(n, rng, extra_edges=1)
+        _assert_bnb_matches_scan(random_connected_graph(n, rng, extra_edges=2 * n), g)
 
 
 def test_branch_and_bound_beyond_exhaustive_cap():

@@ -363,7 +363,7 @@ def test_pathify_spider():
     h = build_graph(7, [(2, 6), (5, 6), (0, 1), (1, 2), (0, 3), (3, 4)])
     trace = pathify(SPIDER, h, tuple(range(7)))
     assert trace.initial == SPIDER
-    assert trace.spanning_tree == SPIDER
+    assert trace.spanning_tree is SPIDER
     assert classify_shape(trace.final) == "path"
     assert trace.final_sum >= trace.tree_sum >= trace.initial_sum
     assert len(trace.steps) <= branching_weight(SPIDER)
