@@ -33,9 +33,9 @@ from .graphs import (
 )
 from .spectra import _check_scan_cap, spectrum
 
-# n=8 holds 11117 classes; enumerating them takes about 18 s (0.2 s at n=7;
-# timings in the kernels module docstring), while scoring them all against
-# one H takes about 1 s, so enumeration is what keeps the cap at 7.
+# n=8 holds 11117 classes; enumerating them takes about 16-18 s, against under
+# 1 s to score them all against one H (timings in the kernels module
+# docstring), so enumeration is what keeps the cap at 7.
 ENUMERATION_CAP = 7
 
 
@@ -173,14 +173,13 @@ def verify_upper_bound(
     For each H in the family and every connected G on n vertices, the
     maximum sum over bijections is at most the value attained when G is the
     path, with equality exactly when G is the path. The bound comes from
-    one exhaustive scan of the path, apart from the batch, so it
-    cross-checks the batched product on the path's own item; the graphs' one
-    distance stack is scored against each H by one kernels.max_sums call,
-    also exhaustive, so every value reported is exact. A progress file (one
-    key per line) lets an interrupted sweep resume: recorded keys are
-    skipped but still counted, and an interrupt loses at most the H in
-    hand. Only passing items are recorded, so failures are re-examined on
-    resume.
+    one exhaustive scan of the path, so it cross-checks kernels.max_sums
+    on the path's own item; max_sums scores the graphs' one distance stack
+    against each H, also exhaustively, so every value reported is exact.
+    A progress file (one key per line) lets an interrupted sweep resume:
+    recorded keys are skipped but still counted, and an interrupt loses at
+    most the H in hand. Only passing items are recorded, so failures are
+    re-examined on resume.
     """
     if n < 2:
         raise GraphError(f"upper-bound sweeps start at n=2, got {n}")
@@ -224,6 +223,31 @@ def verify_upper_bound(
     return VerificationReport("upper-bound", checked, tuple(sorted(failures)))
 
 
+def _sweep_classes(claim: str, n_max: int, problem) -> VerificationReport:
+    """Check problem(g), a failure detail or None, on every connected graph
+    on 2..n_max vertices."""
+    # refuses n_max above ENUMERATION_CAP before any smaller n is swept
+    enumerate_connected_graphs(n_max)
+    failures = []
+    checked = 0
+    for n in range(2, n_max + 1):
+        for g in enumerate_connected_graphs(n):
+            checked += 1
+            detail = problem(g)
+            if detail is not None:
+                failures.append((render_graph(g), detail))
+    return VerificationReport(claim, checked, tuple(sorted(failures)))
+
+
+def _spanning_tree_problem(g: Graph):
+    # stops at the first spanning tree that is not a path
+    all_paths = all(classify_shape(t) == "path" for t in _spanning_tree_iter(g))
+    shape = classify_shape(g)
+    if all_paths != (shape in ("path", "cycle")):
+        return f"all-spanning-trees-are-paths={all_paths} but shape={shape}"
+    return None
+
+
 def verify_spanning_tree_characterization(n_max: int) -> VerificationReport:
     """All spanning trees are paths exactly for paths and cycles.
 
@@ -232,21 +256,19 @@ def verify_spanning_tree_characterization(n_max: int) -> VerificationReport:
     """
     if n_max < 2:
         raise GraphError(f"spanning-tree sweeps start at n=2, got n_max={n_max}")
-    # refuses n_max above ENUMERATION_CAP before any smaller n is swept
-    enumerate_connected_graphs(n_max)
-    failures = []
-    checked = 0
-    for n in range(2, n_max + 1):
-        for g in enumerate_connected_graphs(n):
-            checked += 1
-            # stops at the first spanning tree that is not a path
-            all_paths = all(classify_shape(t) == "path" for t in _spanning_tree_iter(g))
-            shape = classify_shape(g)
-            if all_paths != (shape in ("path", "cycle")):
-                failures.append(
-                    (render_graph(g), f"all-spanning-trees-are-paths={all_paths} but shape={shape}")
-                )
-    return VerificationReport("spanning-trees", checked, tuple(sorted(failures)))
+    return _sweep_classes("spanning-trees", n_max, _spanning_tree_problem)
+
+
+def _non_articulation_problem(g: Graph):
+    try:
+        v = non_articulation_vertex(g)
+    except GraphError as exc:
+        return f"no removable vertex found: {exc}"
+    relabel = {u: i for i, u in enumerate(x for x in range(g.n) if x != v)}
+    rest = build_graph(g.n - 1, [(relabel[a], relabel[b]) for a, b in g.edges if v not in (a, b)])
+    if not is_connected(rest):
+        return f"removing vertex {v} disconnected the graph"
+    return None
 
 
 def verify_non_articulation(n_max: int) -> VerificationReport:
@@ -257,29 +279,4 @@ def verify_non_articulation(n_max: int) -> VerificationReport:
     """
     if n_max < 2:
         raise GraphError(f"articulation sweeps start at n=2, got n_max={n_max}")
-    # refuses n_max above ENUMERATION_CAP before any smaller n is swept
-    enumerate_connected_graphs(n_max)
-    failures = []
-    checked = 0
-    for n in range(2, n_max + 1):
-        for g in enumerate_connected_graphs(n):
-            checked += 1
-            try:
-                v = non_articulation_vertex(g)
-            except GraphError as exc:
-                failures.append((render_graph(g), f"no removable vertex found: {exc}"))
-                continue
-            relabel = {u: i for i, u in enumerate(x for x in range(n) if x != v)}
-            rest = build_graph(
-                n - 1,
-                [
-                    (relabel[a], relabel[b])
-                    for a, b in g.edges
-                    if a != v and b != v
-                ],
-            )
-            if not is_connected(rest):
-                failures.append(
-                    (render_graph(g), f"removing vertex {v} disconnected the graph")
-                )
-    return VerificationReport("articulation", checked, tuple(sorted(failures)))
+    return _sweep_classes("articulation", n_max, _non_articulation_problem)

@@ -5,6 +5,7 @@ brute force.
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hamspec import kernels
 from hamspec.graphs import build_graph, distance_matrix, make_complete, make_cycle, make_path
 from hamspec.spectra import _branch_and_bound, pseudo_sum
+from hamspec.verify import enumerate_connected_graphs
 
 
 def _brute_force_scan(dist, h_edges):
@@ -79,6 +81,10 @@ def test_scan_sums_two_vertex_prefix():
     assert hi == _branch_and_bound(h, g, "max")[0]
     assert pseudo_sum(h, g, tuple(mw)) == lo
     assert pseudo_sum(h, g, tuple(xw)) == hi
+    # a complete H sums every bijection to the Wiener index of G, which for
+    # the path P10 is C(11, 3) = 165, past what an int8 sum holds
+    counts, lo, hi, _, _ = kernels.scan_sums(distance_matrix(make_path(10)), make_complete(10).edges)
+    assert {s: int(c) for s, c in enumerate(counts) if c} == {165: math.factorial(10)}
 
 
 def _block_gather_scan(dist, edges):
@@ -236,9 +242,24 @@ def test_max_sums_matches_scan_sums():
     cases.append((_connected_stack(rng, 5, 3), []))
     # a disconnected H: a triangle beside a path
     cases.append((_connected_stack(rng, 7, 5), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6)]))
-    # enough graphs that one product covers a few dozen of the 720
-    # permutations, so the last slice of rows is partial
+    # 300 graphs get 2^17 // 300 = 436 of the 720 permutations a tile, so
+    # the last tile is partial
+    assert 720 % (kernels._TILE_SUMS // 300) != 0 and kernels._TILE_SUMS // 300 < 720
     cases.append((_connected_stack(rng, 6, 300), list(make_cycle(6).edges)))
+    # every connected class at n = 7, as verify upper-bound stacks them
+    classes = np.stack([distance_matrix(g) for g in enumerate_connected_graphs(7)])
+    cases += [(classes, list(make_path(7).edges)), (classes, list(make_cycle(7).edges))]
+    # a maximum found only in the last tile of a block: 40 graphs get
+    # 2^17 // 40 = 3276 of the 8! permutations a tile, and G attains its
+    # maximum under the last permutation alone
+    g = build_graph(
+        8, [(0, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 7), (3, 5), (3, 6), (4, 5), (4, 6)]
+    )
+    edges = [(0, 1), (0, 2), (0, 3), (0, 7), (1, 5), (1, 6), (1, 7), (2, 5), (3, 4)]
+    counts, _, hi, _, xw = kernels.scan_sums(distance_matrix(g), edges)
+    assert (counts[hi], tuple(xw)) == (1, tuple(range(7, -1, -1)))
+    assert kernels._TILE_SUMS // 40 < math.factorial(8)
+    cases.append((np.concatenate([_connected_stack(rng, 8, 39), distance_matrix(g)[None]]), edges))
     # k = 1, straight from the read-only distance_matrix cache
     cases.append((distance_matrix(make_cycle(8))[None], list(make_path(8).edges)))
     # a maximum found only in the last block: H is the star on centre 0, so
@@ -260,3 +281,17 @@ def test_max_sums_matches_scan_sums():
         assert got.dtype == np.int64
         assert got.tolist() == want, (dists.shape, edges)
 
+
+def test_max_sums_memory_is_tiled():
+    # the 853 classes at n = 7 walked a tile of 2^17 int16 sums at a time
+    # peak at about 1 MB traced; one tile per 7! block would hold 16 MB
+    dists = np.stack([distance_matrix(g) for g in enumerate_connected_graphs(7)])
+    edges = list(make_cycle(7).edges)
+    kernels.max_sums(dists, edges)
+    tracemalloc.start()
+    try:
+        kernels.max_sums(dists, edges)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
