@@ -5,6 +5,9 @@ in the package (spectra, surgery, verification) builds on the helpers here:
 BFS distances, shape classification, unique tree paths and spanning trees.
 Data derived from a graph (its neighbour lists and distance matrix) is
 computed once and lives on the graph object, so it goes when the graph goes.
+A graph's distances are computed by BFS from every vertex, or handed over
+when it is built: surgery derives each rewired tree's matrix from its
+parent's (`_with_distances`).
 """
 
 from __future__ import annotations
@@ -77,6 +80,18 @@ def build_graph(n: int, edges) -> Graph:
     return Graph(n, tuple(sorted(normalized)))
 
 
+def _with_distances(n: int, edges, dist: np.ndarray) -> Graph:
+    """build_graph(n, edges) with dist already in its distance cache.
+
+    The caller vouches that dist, an (n, n) int64 array no other object
+    holds, is the graph's true distance matrix; it is made read-only here.
+    """
+    g = build_graph(n, edges)
+    dist.setflags(write=False)
+    g.__dict__["_distances"] = dist
+    return g
+
+
 def make_path(n: int) -> Graph:
     """Path 0-1-...-(n-1); a single vertex for n=1."""
     if n < 1:
@@ -133,7 +148,8 @@ def is_tree(g: Graph) -> bool:
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
-    """All-pairs shortest-path lengths by BFS from every vertex.
+    """All-pairs shortest-path lengths by BFS from every vertex, or as
+    handed over when the graph was built (see _with_distances).
 
     Returns a read-only (n, n) int64 array, the same one on every call for
     the same graph object; requires a connected graph so every entry is

@@ -7,6 +7,10 @@ and reattaching it to either end yields a new tree with strictly fewer
 branch vertices, and the end is chosen so that no bijection sum decreases.
 Iterating turns any tree into a path; routing a connected graph through a
 spanning tree first extends this to arbitrary connected inputs.
+
+The stub's side is a pendant subtree, so moving it changes only the
+distances that cross the cut: each rewired tree gets its distance matrix
+from its parent's by one block shift, and only the starting tree runs BFS.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ import numpy as np
 from .graphs import (
     Graph,
     GraphError,
+    _with_distances,
     adjacency,
-    build_graph,
     degrees,
     distance_matrix,
     first_spanning_tree,
@@ -129,11 +133,34 @@ def spur_component(t: Graph, junction: Junction) -> frozenset[int]:
 
 
 def rewire(t: Graph, junction: Junction, triple: LeafTriple) -> tuple[Graph, Graph]:
-    """Both rewired trees: stub reattached to end_a, and to end_b."""
-    kept = [e for e in t.edges if set(e) != {junction.stub, junction.fork}]
-    to_a = build_graph(t.n, kept + [(junction.stub, triple.end_a)])
-    to_b = build_graph(t.n, kept + [(junction.stub, triple.end_b)])
-    return to_a, to_b
+    """Both rewired trees: stub reattached to end_a, and to end_b.
+
+    Cutting the stub-fork edge leaves the spur side S a pendant subtree, so
+    distances inside S and inside the rest stay as they were. For x in S
+    and y outside it, the path from x now runs to the stub, over the new
+    edge, then on to y: d(x, stub) + 1 + d(end, y). Each tree carries that
+    matrix from birth. The stub-fork pair must be a tree edge and both ends
+    must lie off the spur side, else the result would not be a tree.
+    """
+    stub, fork = junction.stub, junction.fork
+    d = _tree_distances(t, (stub, fork))
+    side = _nearer(d, stub, fork)
+    ends = (triple.end_a, triple.end_b)
+    if not all(0 <= end < t.n and not side[end] for end in ends):
+        raise GraphError(f"ends {ends!r} must be vertices off the spur side")
+    inside, outside = np.flatnonzero(side), np.flatnonzero(~side)
+    block = np.ix_(inside, outside)
+    via_stub = d[inside, stub][:, None] + 1
+    kept = [e for e in t.edges if set(e) != {stub, fork}]
+
+    def moved(end: int) -> Graph:
+        cross = via_stub + d[end, outside]
+        dist = d.copy()
+        dist[block] = cross
+        dist.T[block] = cross
+        return _with_distances(t.n, kept + [(stub, end)], dist)
+
+    return moved(triple.end_a), moved(triple.end_b)
 
 
 def classify_pair(

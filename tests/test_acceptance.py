@@ -11,6 +11,7 @@ import time
 
 from generate import random_bijection, random_connected_graph, random_tree
 from hamspec.graphs import (
+    build_graph,
     classify_shape,
     distance_matrix,
     leaves,
@@ -108,8 +109,9 @@ def _check_triple(t, dist, triple):
     side = spur_component(t, junction)
     outside = [v for v in range(t.n) if v not in side]
     to_a, to_b = rewire(t, junction, triple)
-    dist_a = distance_matrix(to_a)
-    dist_b = distance_matrix(to_b)
+    # fresh copies, so BFS rather than the rewiring supplies the new distances
+    dist_a = distance_matrix(build_graph(t.n, to_a.edges))
+    dist_b = distance_matrix(build_graph(t.n, to_b.edges))
     trunk = set(tree_path(t, triple.end_a, triple.end_b))
     arm_a_edge = frozenset((junction.fork, junction.arm_a))
     arm_b_edge = frozenset((junction.fork, junction.arm_b))

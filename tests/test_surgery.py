@@ -9,6 +9,7 @@ import sys
 import weakref
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -144,6 +145,56 @@ def test_rewire_spider():
     assert classify_shape(to_b) == "path"
 
 
+def _bfs_distances(g):
+    """Distances of a fresh copy of g, so BFS computes them rather than surgery."""
+    return distance_matrix(build_graph(g.n, g.edges))
+
+
+def test_rewire_rejects_a_stub_fork_pair_that_is_not_an_edge():
+    # 1 and 3 both neighbour the fork 0 but not each other
+    j = replace(find_junction(SPIDER, SPIDER_TRIPLE), stub=1, fork=3)
+    with pytest.raises(GraphError, match="not in the graph"):
+        rewire(SPIDER, j, SPIDER_TRIPLE)
+
+
+def test_rewire_rejects_an_end_on_the_spur_side():
+    j = find_junction(SPIDER, SPIDER_TRIPLE)
+    # 6 hangs below the stub, so hooking the stub onto it would close a cycle
+    for triple in (LeafTriple(end_a=6, end_b=4, spur=2), LeafTriple(end_a=2, end_b=6, spur=4)):
+        with pytest.raises(GraphError, match="off the spur side"):
+            rewire(SPIDER, j, triple)
+    for end in (-1, SPIDER.n):
+        with pytest.raises(GraphError, match="off the spur side"):
+            rewire(SPIDER, j, LeafTriple(end_a=end, end_b=4, spur=6))
+
+
+def _carried_matrix_checks(trace):
+    for step in trace.steps:
+        d = distance_matrix(step.after)
+        assert np.array_equal(d, _bfs_distances(step.after)), render_graph(step.after)
+        assert d.dtype == np.int64
+        assert not d.flags.writeable
+
+
+def test_rewired_trees_carry_their_bfs_distances():
+    rng = random.Random(730119)
+    steps = 0
+    for n in range(3, 61):
+        t = random_tree(n, rng)
+        f = random_bijection(n, rng)
+        for h in (make_path(n), make_cycle(n)):
+            trace = pathify(t, h, f)
+            _carried_matrix_checks(trace)
+            steps += len(trace.steps)
+    assert steps > 500
+    # a dense core with a chain hanging off it, routed through its spanning tree
+    n = 15
+    g = build_graph(n, list(itertools.combinations(range(7), 2)) + [(v, v + 1) for v in range(6, n - 1)])
+    trace = pathify_general(g, make_cycle(n), tuple(range(n)))
+    assert trace.steps
+    _carried_matrix_checks(trace)
+
+
 def test_classify_pair_spider():
     j = find_junction(SPIDER, SPIDER_TRIPLE)
     assert classify_pair(SPIDER, j, 6, 2) == ARM_A
@@ -195,7 +246,7 @@ def test_choose_transform_spider():
     # the pair (6, 2) rides through arm_a, so its distance grows by the
     # fork-to-end_b distance when the stub swings to end_b
     d_before = distance_matrix(SPIDER)
-    d_after = distance_matrix(step.after)
+    d_after = _bfs_distances(step.after)
     assert d_after[2, 6] - d_before[2, 6] == d_before[4, 0]
 
 
@@ -288,8 +339,8 @@ def test_some_rewiring_is_strict_when_links_leave_the_ends():
 def _pair_growth_checks(t, j, triple, side):
     d = distance_matrix(t)
     to_a, to_b = rewire(t, j, triple)
-    d_a = distance_matrix(to_a)
-    d_b = distance_matrix(to_b)
+    d_a = _bfs_distances(to_a)
+    d_b = _bfs_distances(to_b)
     outside = [v for v in range(t.n) if v not in side]
     grow_a = int(d[triple.end_a, j.fork])
     grow_b = int(d[triple.end_b, j.fork])
@@ -335,8 +386,8 @@ def test_paired_identity_spider():
     side = spur_component(t, j)
     d = distance_matrix(t)
     to_a, to_b = rewire(t, j, triple)
-    d_a = distance_matrix(to_a)
-    d_b = distance_matrix(to_b)
+    d_a = _bfs_distances(to_a)
+    d_b = _bfs_distances(to_b)
     trunk = set(tree_path(t, triple.end_a, triple.end_b))
     outside = [v for v in range(t.n) if v not in side]
     pairs = list(itertools.product(sorted(side), outside))
