@@ -218,9 +218,6 @@ def _spanning_tree_iter(g: Graph):
     """Yield spanning trees as edge subsets in lexicographic order."""
     if not is_connected(g):
         raise GraphError("spanning trees require a connected graph")
-    if g.n == 1:
-        yield Graph(1, ())
-        return
     for subset in itertools.combinations(g.edges, g.n - 1):
         candidate = Graph(g.n, subset)
         if is_connected(candidate):

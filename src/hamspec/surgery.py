@@ -11,6 +11,8 @@ spanning tree first extends this to arbitrary connected inputs.
 The stub's side is a pendant subtree, so moving it changes only the
 distances that cross the cut: each rewired tree gets its distance matrix
 from its parent's by one block shift, and only the starting tree runs BFS.
+A step checks its tree once, reads every fact it needs from that one
+matrix, and builds only the tree it keeps.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ def _arms(d: np.ndarray, junction: Junction) -> list[str]:
 def _tree_distances(t: Graph, *edges: tuple[int, int]) -> np.ndarray:
     """The distance matrix of a tree, once each pair is checked to be one of its edges."""
     if not is_tree(t):
-        raise GraphError("edge sides are defined on trees")
+        raise GraphError("junctions and edge sides are defined on trees")
     for near, far in edges:
         if not (0 <= near < t.n and 0 <= far < t.n and far in adjacency(t)[near]):
             raise GraphError(f"cut edge {(near, far)!r} is not in the graph")
@@ -108,10 +110,8 @@ def _tree_distances(t: Graph, *edges: tuple[int, int]) -> np.ndarray:
 
 def find_junction(t: Graph, triple: LeafTriple) -> Junction:
     """Locate the fork, stub, and trunk arms for a leaf triple of a tree."""
-    if not is_tree(t):
-        raise GraphError("junctions are defined on trees")
+    d = _tree_distances(t)
     _check_triple(t, triple)
-    d = distance_matrix(t)
     a, b, spur = triple.end_a, triple.end_b, triple.spur
     trunk = np.flatnonzero(d[a] + d[b] == d[a, b])
     fork = int(trunk[np.argmin(d[spur, trunk])])
@@ -132,35 +132,35 @@ def spur_component(t: Graph, junction: Junction) -> frozenset[int]:
     return frozenset(np.flatnonzero(_nearer(d, junction.stub, junction.fork)).tolist())
 
 
+def _rewired(t: Graph, d: np.ndarray, side: np.ndarray, junction: Junction, end: int) -> Graph:
+    """The tree t (distances d) with the stub moved from the fork to end.
+
+    The spur side (mask side) is a pendant subtree, so only distances across
+    the cut change: x on it and y off it end d(x, stub) + 1 + d(end, y) apart.
+    """
+    stub, fork = junction.stub, junction.fork
+    inside, outside = np.flatnonzero(side), np.flatnonzero(~side)
+    block = np.ix_(inside, outside)
+    cross = d[inside, stub][:, None] + 1 + d[end, outside]
+    dist = d.copy()
+    dist[block] = cross
+    dist.T[block] = cross
+    kept = [e for e in t.edges if set(e) != {stub, fork}]
+    return _with_distances(t.n, kept + [(stub, end)], dist)
+
+
 def rewire(t: Graph, junction: Junction, triple: LeafTriple) -> tuple[Graph, Graph]:
     """Both rewired trees: stub reattached to end_a, and to end_b.
 
-    Cutting the stub-fork edge leaves the spur side S a pendant subtree, so
-    distances inside S and inside the rest stay as they were. For x in S
-    and y outside it, the path from x now runs to the stub, over the new
-    edge, then on to y: d(x, stub) + 1 + d(end, y). Each tree carries that
-    matrix from birth. The stub-fork pair must be a tree edge and both ends
-    must lie off the spur side, else the result would not be a tree.
+    The step's builder applied to both ends. The stub-fork pair must be a
+    tree edge and both ends must lie off the spur side, else no tree results.
     """
-    stub, fork = junction.stub, junction.fork
-    d = _tree_distances(t, (stub, fork))
-    side = _nearer(d, stub, fork)
+    d = _tree_distances(t, (junction.stub, junction.fork))
+    side = _nearer(d, junction.stub, junction.fork)
     ends = (triple.end_a, triple.end_b)
     if not all(0 <= end < t.n and not side[end] for end in ends):
         raise GraphError(f"ends {ends!r} must be vertices off the spur side")
-    inside, outside = np.flatnonzero(side), np.flatnonzero(~side)
-    block = np.ix_(inside, outside)
-    via_stub = d[inside, stub][:, None] + 1
-    kept = [e for e in t.edges if set(e) != {stub, fork}]
-
-    def moved(end: int) -> Graph:
-        cross = via_stub + d[end, outside]
-        dist = d.copy()
-        dist[block] = cross
-        dist.T[block] = cross
-        return _with_distances(t.n, kept + [(stub, end)], dist)
-
-    return moved(triple.end_a), moved(triple.end_b)
+    return tuple(_rewired(t, d, side, junction, end) for end in ends)
 
 
 def classify_pair(
@@ -239,18 +239,21 @@ def choose_transform(t: Graph, h: Graph, f, triple: LeafTriple) -> TransformStep
 
     Cross pairs carrying an H-edge are counted by the fork arm their path
     uses; the stub moves to end_a when the arm_a count is at most the arm_b
-    count, otherwise to end_b. The resulting sum never drops.
+    count, otherwise to end_b. The resulting sum never drops. find_junction
+    is the one tree check, and its stub neighbours the fork with both ends
+    on the trunk, off the spur side; only the kept tree is built.
     """
     _check_same_order(h, t)
     f = _check_bijection(f, t.n)
     junction = find_junction(t, triple)
-    linked = linked_cross_pairs(h, f, spur_component(t, junction))
-    arms = _arms(distance_matrix(t), junction)
-    linked_arms = [arms[y] for _, y in linked]
+    d = distance_matrix(t)
+    side = _nearer(d, junction.stub, junction.fork)
+    arms = _arms(d, junction)
+    spur_side = frozenset(np.flatnonzero(side).tolist())
+    linked_arms = [arms[y] for _, y in linked_cross_pairs(h, f, spur_side)]
     n_arm_a, n_arm_b = linked_arms.count(ARM_A), linked_arms.count(ARM_B)
-    to_a, to_b = rewire(t, junction, triple)
     choice = "end_a" if n_arm_a <= n_arm_b else "end_b"
-    after = to_a if choice == "end_a" else to_b
+    after = _rewired(t, d, side, junction, triple.end_a if choice == "end_a" else triple.end_b)
     sum_before = pseudo_sum(h, t, f)
     sum_after = pseudo_sum(h, after, f)
     _require(sum_after >= sum_before, "rewiring lowered the sum")
@@ -303,12 +306,12 @@ def pathify_general(g: Graph, h: Graph, f) -> TransformTrace:
     _require(tree_sum >= initial_sum, "spanning tree shortened a distance")
     steps = []
     current = tree
-    budget = branching_weight(tree)
-    while branching_weight(current):
+    weight = budget = branching_weight(tree)
+    while weight:
         _require(len(steps) < budget, "rewiring failed to terminate")
         step = choose_transform(current, h, f, _next_triple(current))
         steps.append(step)
-        current = step.after
+        current, weight = step.after, step.weight_after
     return TransformTrace(
         initial=g,
         f=f,
@@ -363,8 +366,7 @@ def format_trace(trace: TransformTrace, steps: bool = True) -> str:
     ]
     if steps:
         for k, step in enumerate(trace.steps, start=1):
-            t = step.triple
-            j = step.junction
+            t, j = step.triple, step.junction
             lines.append(
                 f"step {k}: triple ({t.end_a}, {t.end_b}, {t.spur})"
                 f"  fork {j.fork} stub {j.stub} arms ({j.arm_a}, {j.arm_b})"

@@ -234,6 +234,8 @@ def test_spanning_trees_small_families():
     assert len(list(_spanning_tree_iter(make_path(4)))) == 1
     assert len(list(_spanning_tree_iter(make_complete(4)))) == 16
     assert list(_spanning_tree_iter(make_path(4))) == [make_path(4)]
+    # the one empty edge subset spans a single vertex
+    assert list(_spanning_tree_iter(Graph(1, ()))) == [Graph(1, ())]
 
 
 def test_spanning_trees_match_determinant_oracle():

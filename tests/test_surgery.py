@@ -1,5 +1,6 @@
 """Leaf-triple rewiring: junction anatomy, sum monotonicity, and traces."""
 
+import collections
 import gc
 import itertools
 import os
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import hamspec
 from generate import random_bijection, random_connected_graph, random_tree
+from hamspec import surgery
 from hamspec.graphs import (
     GraphError,
     build_graph,
@@ -248,6 +250,33 @@ def test_choose_transform_spider():
     d_before = distance_matrix(SPIDER)
     d_after = _bfs_distances(step.after)
     assert d_after[2, 6] - d_before[2, 6] == d_before[4, 0]
+
+
+def test_a_step_checks_its_tree_once_and_builds_only_the_kept_tree(monkeypatch):
+    counts = collections.Counter()
+
+    def counted(name):
+        inner = getattr(surgery, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(surgery, name, wrapper)
+
+    for name in ("is_tree", "_with_distances", "branching_weight"):
+        counted(name)
+    h = build_graph(7, [(2, 6), (5, 6), (0, 1), (1, 2), (0, 3), (3, 4)])
+    choose_transform(SPIDER, h, tuple(range(7)), SPIDER_TRIPLE)
+    assert (counts["is_tree"], counts["_with_distances"]) == (1, 1)
+    counts.clear()
+    rng = random.Random(40417)
+    trace = pathify(random_tree(40, rng), make_cycle(40), random_bijection(40, rng))
+    steps = len(trace.steps)
+    assert steps > 5
+    # pathify's own check, then one per step; each weight is computed once
+    assert (counts["is_tree"], counts["_with_distances"]) == (1 + steps, steps)
+    assert counts["branching_weight"] == 1 + 2 * steps
 
 
 def test_choose_transform_tie_prefers_end_a():
