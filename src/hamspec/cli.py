@@ -12,8 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
-from .graphs import Graph, GraphError, make_cycle, make_path, parse_graph
+from .graphs import Graph, GraphError, make_cycle, make_path, parse_graph, render_graph
 from .spectra import extremal_number, isomorphic_via_h, spectrum
 from .surgery import format_trace, pathify, trace_to_dict
 from .verify import (
@@ -55,28 +56,32 @@ def _parse_bijection(text: str) -> tuple[int, ...]:
         raise UsageError(f"--f expects comma-separated integers, got {text!r}") from None
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, payload: Callable[[], dict], text: Callable[[], str]) -> None:
+    """Print the format asked for, building only that one."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload(), indent=2, sort_keys=True))
     else:
-        print(text)
+        print(text())
 
 
 def _cmd_spectrum(args) -> int:
     g = _load_file(args.g)
     h = _load_h(args.h, g.n)
     report = spectrum(h, g)
-    text = "\n".join(
-        [
-            f"min: {report.min}",
-            f"max: {report.max}",
-            f"min_witness: {','.join(map(str, report.min_witness))}",
-            f"max_witness: {','.join(map(str, report.max_witness))}",
-            "values: " + " ".join(f"{v}:{c}" for v, c in report.values),
-            f"enumerated: {report.enumerated}",
-        ]
-    )
-    _emit(args, report.to_dict(), text)
+
+    def text() -> str:
+        return "\n".join(
+            [
+                f"min: {report.min}",
+                f"max: {report.max}",
+                f"min_witness: {','.join(map(str, report.min_witness))}",
+                f"max_witness: {','.join(map(str, report.max_witness))}",
+                "values: " + " ".join(f"{v}:{c}" for v, c in report.values),
+                f"enumerated: {report.enumerated}",
+            ]
+        )
+
+    _emit(args, report.to_dict, text)
     return 0
 
 
@@ -90,7 +95,7 @@ def _cmd_number(args) -> int:
         "value": value,
         "witness": list(witness),
     }
-    _emit(args, payload, str(value))
+    _emit(args, lambda: payload, lambda: str(value))
     return 0
 
 
@@ -98,11 +103,14 @@ def _cmd_transform(args) -> int:
     tree = _load_file(args.tree)
     h = _load_h(args.h, tree.n)
     f = _parse_bijection(args.f) if args.f is not None else tuple(range(tree.n))
+    # every output holds the tree's graph6 text, so a tree graph6 cannot
+    # hold is refused before any rewiring
+    render_graph(tree)
     trace = pathify(tree, h, f)
     _emit(
         args,
-        trace_to_dict(trace, steps=args.trace),
-        format_trace(trace, steps=args.trace),
+        lambda: trace_to_dict(trace, steps=args.trace),
+        lambda: format_trace(trace, steps=args.trace),
     )
     return 0
 
@@ -121,7 +129,7 @@ def _cmd_verify(args) -> int:
         report = verify_spanning_tree_characterization(args.n)
     else:
         report = verify_non_articulation(args.n)
-    _emit(args, report.to_dict(), format_report(report))
+    _emit(args, report.to_dict, lambda: format_report(report))
     return 0 if report.passed else 3
 
 
@@ -129,7 +137,7 @@ def _cmd_iso(args) -> int:
     a = _load_file(args.first)
     b = _load_file(args.second)
     same = isomorphic_via_h(a, b)
-    _emit(args, {"isomorphic": same}, "isomorphic" if same else "not isomorphic")
+    _emit(args, lambda: {"isomorphic": same}, lambda: "isomorphic" if same else "not isomorphic")
     return 0
 
 

@@ -3,8 +3,9 @@
 Graphs are immutable records over vertex set {0, ..., n-1}. Everything else
 in the package (spectra, surgery, verification) builds on the helpers here:
 BFS distances, shape classification, unique tree paths and spanning trees.
-Data derived from a graph (its neighbour lists and distance matrix) is
-computed once and lives on the graph object, so it goes when the graph goes.
+Data derived from a graph (its neighbour lists, distance matrix and graph6
+text) is computed once and lives on the graph object, so it goes when the
+graph goes.
 A graph's distances are computed by BFS from every vertex, or handed over
 when it is built: surgery derives each rewired tree's matrix from its
 parent's (`_with_distances`).
@@ -12,6 +13,7 @@ parent's (`_with_distances`).
 
 from __future__ import annotations
 
+import base64
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -60,6 +62,10 @@ class Graph:
         dist.setflags(write=False)
         return dist
 
+    @cached_property
+    def _graph6(self) -> str:
+        return _graph6_encode(self)
+
 
 def build_graph(n: int, edges) -> Graph:
     """Validate and normalize (n, edges) into a Graph.
@@ -80,13 +86,15 @@ def build_graph(n: int, edges) -> Graph:
     return Graph(n, tuple(sorted(normalized)))
 
 
-def _with_distances(n: int, edges, dist: np.ndarray) -> Graph:
-    """build_graph(n, edges) with dist already in its distance cache.
+def _with_distances(n: int, edges: tuple[tuple[int, int], ...], dist: np.ndarray) -> Graph:
+    """Graph(n, edges) with dist already in its distance cache.
 
-    The caller vouches that dist, an (n, n) int64 array no other object
-    holds, is the graph's true distance matrix; it is made read-only here.
+    The caller vouches that edges is normalized as build_graph leaves it
+    (pairs a < b, sorted, no duplicates) and that dist, an (n, n) int64
+    array no other object holds, is the graph's true distance matrix; it
+    is made read-only here.
     """
-    g = build_graph(n, edges)
+    g = Graph(n, edges)
     dist.setflags(write=False)
     g.__dict__["_distances"] = dist
     return g
@@ -261,6 +269,11 @@ def first_spanning_tree(g: Graph) -> Graph:
 # bit number b(b-1)/2 + a counted from the top. The bits are padded with
 # zeros to whole six-bit groups, each written as chr(63 + group).
 _G6_HEADER = ">>graph6<<"
+# base64 also writes six-bit groups from the top, group k as the k-th letter
+# of its alphabet; translating that letter to chr(63 + k) gives graph6
+_BASE64_TO_G6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+)
 
 
 def _graph6_encode(g: Graph) -> str:
@@ -271,10 +284,11 @@ def _graph6_encode(g: Graph) -> str:
     for a, b in g.edges:
         value |= 1 << (need - 1 - b * (b - 1) // 2 - a)
     groups = (need + 5) // 6
-    value <<= 6 * groups - need
-    return chr(g.n + 63) + "".join(
-        chr(63 + (value >> shift & 63)) for shift in range(6 * groups - 6, -1, -6)
-    )
+    # base64 takes whole three-byte blocks; the zero groups past the last one are cut off
+    size = (groups + 3) // 4 * 3
+    value <<= 8 * size - need
+    body = base64.b64encode(value.to_bytes(size, "big"))[:groups].translate(_BASE64_TO_G6)
+    return chr(g.n + 63) + body.decode("ascii")
 
 
 def _graph6_decode(text: str) -> Graph:
@@ -346,9 +360,12 @@ def _edge_list_decode(text: str) -> Graph:
 
 
 def render_graph(g: Graph, fmt: str = "graph6") -> str:
-    """Serialize a graph as 'graph6' or 'edge-list' text."""
+    """Serialize a graph as 'graph6' or 'edge-list' text.
+
+    A graph's graph6 text is computed once and kept on the graph object.
+    """
     if fmt == "graph6":
-        return _graph6_encode(g)
+        return g._graph6
     if fmt == "edge-list":
         return _edge_list_encode(g)
     raise FormatError(f"unknown graph format {fmt!r}")

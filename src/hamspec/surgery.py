@@ -9,15 +9,19 @@ Iterating turns any tree into a path; routing a connected graph through a
 spanning tree first extends this to arbitrary connected inputs.
 
 The stub's side is a pendant subtree, so moving it changes only the
-distances that cross the cut: each rewired tree gets its distance matrix
-from its parent's by one block shift, and only the starting tree runs BFS.
-A step checks its tree once, reads every fact it needs from that one
-matrix, and builds only the tree it keeps.
+distances that cross the cut (the exchange lemma): each rewired tree gets
+its distance matrix from its parent's by one block shift, and a step's sum
+changes by d(end, y) - d(fork, y) summed over the linked cross pairs
+(x on the spur side, y off it). Only the starting tree runs BFS; a tree a
+step built is a tree by construction and is never checked again, and a run
+sums its bijection by distances only on the input, on the spanning tree and
+on the final path, where the last sum cross-checks the chained step sums.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import bisect
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,6 +116,11 @@ def find_junction(t: Graph, triple: LeafTriple) -> Junction:
     """Locate the fork, stub, and trunk arms for a leaf triple of a tree."""
     d = _tree_distances(t)
     _check_triple(t, triple)
+    return _junction(t, d, triple)
+
+
+def _junction(t: Graph, d: np.ndarray, triple: LeafTriple) -> Junction:
+    """find_junction's anatomy on a tree t (distances d) whose leaf triple is known valid."""
     a, b, spur = triple.end_a, triple.end_b, triple.spur
     trunk = np.flatnonzero(d[a] + d[b] == d[a, b])
     fork = int(trunk[np.argmin(d[spur, trunk])])
@@ -145,8 +154,11 @@ def _rewired(t: Graph, d: np.ndarray, side: np.ndarray, junction: Junction, end:
     dist = d.copy()
     dist[block] = cross
     dist.T[block] = cross
-    kept = [e for e in t.edges if set(e) != {stub, fork}]
-    return _with_distances(t.n, kept + [(stub, end)], dist)
+    cut = (min(stub, fork), max(stub, fork))
+    # t.edges is sorted, so the kept edges are too; stub-end is not among them
+    edges = [e for e in t.edges if e != cut]
+    bisect.insort(edges, (min(stub, end), max(stub, end)))
+    return _with_distances(t.n, tuple(edges), dist)
 
 
 def rewire(t: Graph, junction: Junction, triple: LeafTriple) -> tuple[Graph, Graph]:
@@ -241,21 +253,36 @@ def choose_transform(t: Graph, h: Graph, f, triple: LeafTriple) -> TransformStep
     uses; the stub moves to end_a when the arm_a count is at most the arm_b
     count, otherwise to end_b. The resulting sum never drops. find_junction
     is the one tree check, and its stub neighbours the fork with both ends
-    on the trunk, off the spur side; only the kept tree is built.
+    on the trunk, off the spur side; only the kept tree is built. The sum
+    after the step comes from the exchange lemma, not from a second sum
+    over the new tree's distances.
     """
     _check_same_order(h, t)
     f = _check_bijection(f, t.n)
     junction = find_junction(t, triple)
+    return _step(t, h, f, triple, junction, pseudo_sum(h, t, f), branching_weight(t))
+
+
+def _step(
+    t: Graph, h: Graph, f: tuple[int, ...], triple: LeafTriple, junction: Junction,
+    sum_before: int, weight_before: int,
+) -> TransformStep:
+    """choose_transform on checked inputs, given t's sum and branching weight.
+
+    Only distances across the stub-fork cut change: a linked cross pair
+    (x, y) ends d(x, stub) + 1 + d(end, y) apart instead of
+    d(x, stub) + 1 + d(fork, y), so the sum moves by d(end, y) - d(fork, y).
+    """
     d = distance_matrix(t)
     side = _nearer(d, junction.stub, junction.fork)
     arms = _arms(d, junction)
-    spur_side = frozenset(np.flatnonzero(side).tolist())
-    linked_arms = [arms[y] for _, y in linked_cross_pairs(h, f, spur_side)]
+    linked = [y for _, y in linked_cross_pairs(h, f, frozenset(np.flatnonzero(side).tolist()))]
+    linked_arms = [arms[y] for y in linked]
     n_arm_a, n_arm_b = linked_arms.count(ARM_A), linked_arms.count(ARM_B)
     choice = "end_a" if n_arm_a <= n_arm_b else "end_b"
-    after = _rewired(t, d, side, junction, triple.end_a if choice == "end_a" else triple.end_b)
-    sum_before = pseudo_sum(h, t, f)
-    sum_after = pseudo_sum(h, after, f)
+    end = triple.end_a if choice == "end_a" else triple.end_b
+    after = _rewired(t, d, side, junction, end)
+    sum_after = sum_before + int(d[end, linked].sum() - d[junction.fork, linked].sum())
     _require(sum_after >= sum_before, "rewiring lowered the sum")
     step = TransformStep(
         before=t,
@@ -267,7 +294,7 @@ def choose_transform(t: Graph, h: Graph, f, triple: LeafTriple) -> TransformStep
         after=after,
         sum_before=sum_before,
         sum_after=sum_after,
-        weight_before=branching_weight(t),
+        weight_before=weight_before,
         weight_after=branching_weight(after),
     )
     _require(step.weight_after < step.weight_before, "branching weight failed to drop")
@@ -296,22 +323,28 @@ def pathify_general(g: Graph, h: Graph, f) -> TransformTrace:
     """Route any connected graph through its first spanning tree to a path.
 
     Spanning-tree distances only grow, so the final path sum still bounds
-    the starting sum from above. A tree is its own spanning tree.
+    the starting sum from above. A tree is its own spanning tree. Each
+    step's sum is chained from the last by the exchange lemma, and the
+    final path's own sum must equal the chained one.
     """
     _check_same_order(h, g)
     f = _check_bijection(f, g.n)
     tree = first_spanning_tree(g)
     initial_sum = pseudo_sum(h, g, f)
-    tree_sum = pseudo_sum(h, tree, f)
+    tree_sum = initial_sum if tree is g else pseudo_sum(h, tree, f)
     _require(tree_sum >= initial_sum, "spanning tree shortened a distance")
     steps = []
-    current = tree
+    current, total = tree, tree_sum
     weight = budget = branching_weight(tree)
     while weight:
         _require(len(steps) < budget, "rewiring failed to terminate")
-        step = choose_transform(current, h, f, _next_triple(current))
+        triple = _next_triple(current)
+        junction = _junction(current, distance_matrix(current), triple)
+        step = _step(current, h, f, triple, junction, total, weight)
         steps.append(step)
-        current, weight = step.after, step.weight_after
+        current, total, weight = step.after, step.sum_after, step.weight_after
+    final_sum = pseudo_sum(h, current, f)
+    _require(final_sum == total, "step sums do not chain to the final path's sum")
     return TransformTrace(
         initial=g,
         f=f,
@@ -320,7 +353,7 @@ def pathify_general(g: Graph, h: Graph, f) -> TransformTrace:
         tree_sum=tree_sum,
         steps=tuple(steps),
         final=current,
-        final_sum=pseudo_sum(h, current, f),
+        final_sum=final_sum,
     )
 
 
@@ -328,11 +361,12 @@ def pathify_general(g: Graph, h: Graph, f) -> TransformTrace:
 # trace serialization
 
 def step_to_dict(step: TransformStep) -> dict:
+    t, j = step.triple, step.junction
     return {
         "before": render_graph(step.before),
         "after": render_graph(step.after),
-        "triple": asdict(step.triple),
-        "junction": asdict(step.junction),
+        "triple": {"end_a": t.end_a, "end_b": t.end_b, "spur": t.spur},
+        "junction": {"fork": j.fork, "stub": j.stub, "arm_a": j.arm_a, "arm_b": j.arm_b},
         "n_arm_a": step.n_arm_a,
         "n_arm_b": step.n_arm_b,
         "choice": step.choice,

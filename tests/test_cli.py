@@ -115,6 +115,34 @@ def test_transform_json_trace(files, capsys):
     assert payload["final_sum"] >= payload["initial_sum"]
 
 
+def test_only_the_asked_format_is_built(files, capsys, monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("built an output format nobody asked for")
+
+    monkeypatch.setattr(cli, "format_trace", unused)
+    code, out, _ = run(capsys, "transform", "--tree", files["spider"], "--h", "path", "--trace", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["step_count"] >= 1
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "trace_to_dict", unused)
+    code, out, _ = run(capsys, "transform", "--tree", files["spider"], "--h", "path", "--trace")
+    assert code == 0
+    assert "step 1:" in out
+
+
+def test_transform_refuses_a_tree_graph6_cannot_hold_before_rewiring(tmp_path, capsys, monkeypatch):
+    # a 70-vertex spider: three 23-vertex legs on a hub, so rewiring has work to do
+    edges = [(0, 1), (0, 24), (0, 47)] + [(v, v + 1) for v in range(1, 69) if v not in (23, 46)]
+    tree = tmp_path / "spider70.edges"
+    tree.write_text(render_graph(build_graph(70, edges), "edge-list"))
+    calls = []
+    monkeypatch.setattr(cli, "pathify", lambda *args: calls.append(args))
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "transform", "--tree", str(tree), "--h", "cycle", "--trace", "--format", fmt)
+        assert (code, out, calls) == (1, "", [])
+        assert err == "error: graph6 short form handles n <= 62, got 70\n"
+
+
 def test_transform_rejects_bad_bijection(files, capsys):
     code, _, err = run(
         capsys, "transform", "--tree", files["spider"], "--h", "path", "--f", "0,1,2"

@@ -3,6 +3,7 @@
 import collections
 import gc
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import hamspec
 from generate import random_bijection, random_connected_graph, random_tree
-from hamspec import surgery
+from hamspec import graphs, surgery
 from hamspec.graphs import (
     GraphError,
     build_graph,
@@ -255,28 +256,69 @@ def test_choose_transform_spider():
 def test_a_step_checks_its_tree_once_and_builds_only_the_kept_tree(monkeypatch):
     counts = collections.Counter()
 
-    def counted(name):
-        inner = getattr(surgery, name)
+    def counted(module, name):
+        inner = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
             return inner(*args, **kwargs)
 
-        monkeypatch.setattr(surgery, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("is_tree", "_with_distances", "branching_weight"):
-        counted(name)
+    for name in ("is_tree", "_with_distances", "branching_weight", "pseudo_sum"):
+        counted(surgery, name)
+    for name in ("_bfs", "_graph6_encode"):
+        counted(graphs, name)
     h = build_graph(7, [(2, 6), (5, 6), (0, 1), (1, 2), (0, 3), (3, 4)])
-    choose_transform(SPIDER, h, tuple(range(7)), SPIDER_TRIPLE)
-    assert (counts["is_tree"], counts["_with_distances"]) == (1, 1)
+    spider = build_graph(SPIDER.n, SPIDER.edges)
+    choose_transform(spider, h, tuple(range(7)), SPIDER_TRIPLE)
+    # the step sums its tree once and takes the new sum from the exchange lemma
+    assert counts == {"is_tree": 1, "_with_distances": 1, "branching_weight": 2, "pseudo_sum": 1, "_bfs": 1 + 7}
     counts.clear()
     rng = random.Random(40417)
-    trace = pathify(random_tree(40, rng), make_cycle(40), random_bijection(40, rng))
+    n = 40
+    trace = pathify(random_tree(n, rng), make_cycle(n), random_bijection(n, rng))
     steps = len(trace.steps)
     assert steps > 5
-    # pathify's own check, then one per step; each weight is computed once
-    assert (counts["is_tree"], counts["_with_distances"]) == (1 + steps, steps)
-    assert counts["branching_weight"] == 1 + 2 * steps
+    # pathify's own check and no other; the input's and the final path's sums
+    # only; each weight is computed once; BFS runs on the starting tree alone
+    # (pathify's check, the spanning-tree connectivity check, its n rows)
+    assert counts == {
+        "is_tree": 1, "_with_distances": steps, "branching_weight": 1 + steps, "pseudo_sum": 2, "_bfs": n + 2,
+    }
+    counts.clear()
+    json.dumps(trace_to_dict(trace))
+    format_trace(trace)
+    # one graph6 text per distinct graph: the input tree and each step's tree
+    assert counts == {"_graph6_encode": 1 + steps}
+    counts.clear()
+    n = 15
+    g = build_graph(n, list(itertools.combinations(range(7), 2)) + [(v, v + 1) for v in range(6, n - 1)])
+    trace = pathify_general(g, make_cycle(n), tuple(range(n)))
+    steps = len(trace.steps)
+    assert steps > 1
+    json.dumps(trace_to_dict(trace))
+    # the input's, the spanning tree's and the final path's sums; a graph
+    # that is not a tree renders apart from its spanning tree
+    assert (counts["is_tree"], counts["pseudo_sum"], counts["branching_weight"]) == (0, 3, 1 + steps)
+    assert counts["_graph6_encode"] == 2 + steps
+
+
+def test_step_sums_match_sums_on_rebuilt_trees():
+    rng = random.Random(5120)
+    steps = 0
+    for n in range(4, 41):
+        t = random_tree(n, rng)
+        f = random_bijection(n, rng)
+        for h in (make_path(n), make_cycle(n), random_connected_graph(n, rng)):
+            trace = pathify(t, h, f)
+            for step in trace.steps:
+                # a rebuilt graph runs its own BFS instead of reading the carried matrix
+                before, after = (build_graph(n, g.edges) for g in (step.before, step.after))
+                assert step.sum_before == pseudo_sum(h, before, f)
+                assert step.sum_after == pseudo_sum(h, after, f)
+            steps += len(trace.steps)
+    assert steps > 500
 
 
 def test_choose_transform_tie_prefers_end_a():
@@ -454,14 +496,30 @@ def test_pathify_spider():
 
 OPTIMIZED_VIOLATION = """
 import sys
+from dataclasses import replace
 import hamspec
 from hamspec import surgery
-surgery.branching_weight = lambda t: 5
 spider = hamspec.build_graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
-try:
-    surgery.pathify(spider, hamspec.make_path(7), tuple(range(7)))
-except hamspec.InvariantError as exc:
-    print(sys.flags.optimize, isinstance(exc, AssertionError), exc)
+step = surgery._step
+
+
+def run():
+    try:
+        surgery.pathify(spider, hamspec.make_path(7), tuple(range(7)))
+    except hamspec.InvariantError as exc:
+        print(sys.flags.optimize, isinstance(exc, AssertionError), exc)
+
+
+def off_by_one(*args):
+    kept = step(*args)
+    return replace(kept, sum_after=kept.sum_after + 1)
+
+
+surgery._step = off_by_one
+run()
+surgery._step = step
+surgery.branching_weight = lambda t: 5
+run()
 """
 
 
@@ -472,8 +530,12 @@ def test_invariants_hold_under_python_O():
         [sys.executable, "-O", "-c", OPTIMIZED_VIOLATION],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
-    # a branching weight that never drops must stop the run although -O strips asserts
-    assert result.stdout.strip() == "1 True branching weight failed to drop"
+    # a step sum off by one, and a branching weight that never drops, must
+    # each stop the run although -O strips asserts
+    assert result.stdout.splitlines() == [
+        "1 True step sums do not chain to the final path's sum",
+        "1 True branching weight failed to drop",
+    ]
 
 
 def test_trees_release_their_distances():
