@@ -316,7 +316,10 @@ def pathify(t: Graph, h: Graph, f) -> TransformTrace:
     """
     if not is_tree(t):
         raise GraphError("pathify starts from a tree")
-    return pathify_general(t, h, f)
+    _check_same_order(h, t)
+    # a tree is its own first spanning tree; is_tree has run the one
+    # connectivity BFS that first_spanning_tree would repeat
+    return _rewire(t, t, h, _check_bijection(f, t.n))
 
 
 def pathify_general(g: Graph, h: Graph, f) -> TransformTrace:
@@ -329,7 +332,11 @@ def pathify_general(g: Graph, h: Graph, f) -> TransformTrace:
     """
     _check_same_order(h, g)
     f = _check_bijection(f, g.n)
-    tree = first_spanning_tree(g)
+    return _rewire(g, first_spanning_tree(g), h, f)
+
+
+def _rewire(g: Graph, tree: Graph, h: Graph, f: tuple[int, ...]) -> TransformTrace:
+    """pathify_general's run on g, its first spanning tree, and a checked h and f."""
     initial_sum = pseudo_sum(h, g, f)
     tree_sum = initial_sum if tree is g else pseudo_sum(h, tree, f)
     _require(tree_sum >= initial_sum, "spanning tree shortened a distance")

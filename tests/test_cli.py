@@ -248,6 +248,31 @@ def test_usage_errors(files, capsys):
     assert not os.path.exists(progress)
 
 
+def test_repeated_calls_reuse_one_parser(files, capsys, monkeypatch):
+    broken = VerificationReport("closed-forms", 1, (("Bw|n=3", "got 5, expected 4"),))
+    monkeypatch.setattr(cli, "verify_closed_forms", lambda n: broken)
+    cases = [
+        (("spectrum", "--h", "cycle", "--g", files["c4"]), 0),
+        (("number", "--h", "path", "--g", files["p4_edges"], "--sense", "min", "--format", "json"), 0),
+        (("--help",), 0),
+        (("verify", "--help"), 0),
+        (("spectrum", "--h", "cycle", "--g", files["bad"]), 1),
+        (("number", "--h", "cycle", "--g", files["c4"]), 2),
+        (("iso", files["c4"]), 2),
+        (("nonsense",), 2),
+        ((), 2),
+        (("verify", "closed-forms", "--n", "3"), 3),
+    ]
+    first = [run(capsys, *argv) for argv, _ in cases]
+    assert [code for code, _, _ in first] == [code for _, code in cases]
+    assert all(out or err for _, out, err in first)
+    assert cli._parser() is cli._parser()
+    # the same again on the one parser, and on a parser built afresh per call
+    assert [run(capsys, *argv) for argv, _ in cases] == first
+    monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)
+    assert [run(capsys, *argv) for argv, _ in cases] == first
+
+
 def test_domain_errors(files, capsys):
     code, _, err = run(capsys, "spectrum", "--h", "cycle", "--g", files["bad"])
     assert code == 1

@@ -123,6 +123,95 @@ def test_scan_sums_prefix_to_prefix_edge():
     assert (hist, (lo, tuple(mw)), (hi, tuple(xw))) == _block_gather_scan(dist, edges)
 
 
+def _random_h(rng, n, m):
+    """m random edges on n >= 2 vertices, some of them an earlier edge
+    repeated, as given or reversed."""
+    edges = []
+    for _ in range(m):
+        if edges and rng.random() < 0.25:
+            u, v = rng.choice(edges)
+            edges.append((v, u) if rng.random() < 0.5 else (u, v))
+        else:
+            edges.append(tuple(rng.sample(range(n), 2)))
+    return edges
+
+
+def test_grouped_scan_matches_brute_force():
+    # groups hold up to 2 vertices at n <= 5, 3 at n = 6 and 4 at n = 7
+    assert [kernels._group_size(n, 1) for n in range(1, 8)] == [2, 2, 2, 2, 2, 3, 4]
+    rng = random.Random(2203)
+    for n in range(1, 8):
+        for _ in range(4):
+            g = build_graph(n, [(rng.randrange(i), i) for i in range(1, n)] + [(0, n - 1)] * (n > 2))
+            dist = distance_matrix(g)
+            hs = [[], _random_h(rng, n, rng.randint(1, 2 * n))] if n > 1 else [[]]
+            for edges in hs:
+                want, first = _brute_force_scan(dist, edges)
+                counts, lo, hi, mw, xw = kernels.scan_sums(dist, edges)
+                assert {s: int(c) for s, c in enumerate(counts) if c} == dict(want), (n, edges)
+                assert (lo, hi) == (min(want), max(want))
+                assert (tuple(mw), tuple(xw)) == (first[lo], first[hi]), (n, edges)
+
+
+def test_grouped_scan_with_groups_in_the_prefix():
+    # n = 9 puts vertex 0 in the prefix, n = 10 vertices 0 and 1: a group
+    # holding a prefix vertex reads it as one position per block
+    rng = random.Random(9010)
+    g = build_graph(9, [(rng.randrange(i), i) for i in range(1, 9)] + [(2, 8), (1, 5)])
+    edges = [(3, 0), (0, 5), (5, 2), (2, 3), (8, 0), (1, 7), (7, 6), (6, 4), (4, 1), (5, 0), (7, 1)]
+    cover = kernels._cover(edges, kernels._group_size(9, 1))
+    assert [vertices for vertices, _ in cover] == [[3, 0, 5, 2], [8, 0, 1, 7], [7, 6, 4, 1]]
+    dist = distance_matrix(g)
+    counts, lo, hi, mw, xw = kernels.scan_sums(dist, edges)
+    hist = {s: int(c) for s, c in enumerate(counts) if c}
+    assert (hist, (lo, tuple(mw)), (hi, tuple(xw))) == _block_gather_scan(dist, edges)
+    # the last group lies wholly in the prefix: one number per block
+    g = build_graph(10, [(rng.randrange(i), i) for i in range(1, 10)] + [(0, 9), (4, 8)])
+    edges = [(2, 3), (3, 4), (5, 4), (6, 0), (0, 7), (8, 7), (1, 0), (0, 1)]
+    cover = kernels._cover(edges, kernels._group_size(10, 1))
+    assert [vertices for vertices, _ in cover] == [[2, 3, 4, 5], [6, 0, 7, 8], [1, 0]]
+    dist = distance_matrix(g)
+    counts, lo, hi, mw, xw = kernels.scan_sums(dist, edges)
+    hist = {s: int(c) for s, c in enumerate(counts) if c}
+    assert (hist, (lo, tuple(mw)), (hi, tuple(xw))) == _block_gather_scan(dist, edges)
+
+
+def test_cover_puts_each_edge_in_one_group():
+    rng = random.Random(4242)
+    cases = [(9, list(make_cycle(9).edges)), (9, list(make_path(9).edges))]
+    cases += [(n, _random_h(rng, n, rng.randint(1, 3 * n))) for n in range(2, 11) for _ in range(5)]
+    for n, edges in cases:
+        size = kernels._group_size(n, 1)
+        cover = kernels._cover(edges, size)
+        # every edge once, in its given orientation, and in edge order
+        # within its group
+        assert sorted(e for _, members in cover for e in members) == sorted(edges)
+        for vertices, members in cover:
+            assert 2 <= len(vertices) <= size
+            assert len(set(vertices)) == len(vertices)
+            assert {w for e in members for w in e} == set(vertices)
+            rest = iter(edges)
+            assert all(e in rest for e in members)
+    assert kernels._group_size(9, 1) == 4
+    for edges in (make_cycle(9).edges, make_path(9).edges):
+        assert len(kernels._cover(edges, 4)) <= 3
+    assert kernels._cover([], 4) == []
+
+
+def test_grouped_max_sums_matches_scan_sums():
+    # a stack keeps groups of 3 or more vertices while n^s tables of its
+    # width fit a tile, and falls back to one take per edge past that
+    rng = random.Random(3141)
+    cases = [(5, 4, 2), (6, 200, 3), (7, 5, 4), (7, 60, 3), (7, 400, 2), (8, 3, 5)]
+    for n, width, size in cases:
+        assert kernels._group_size(n, width) == size
+        dists = _connected_stack(rng, n, width)
+        edges = _random_h(rng, n, rng.randint(n, 2 * n))
+        picks = rng.sample(range(width), min(width, 5))
+        want = [kernels.scan_sums(dists[i], edges)[2] for i in picks]
+        assert kernels.max_sums(dists, edges)[picks].tolist() == want, (n, width, edges)
+
+
 def test_scan_sums_edgeless_h():
     dist = distance_matrix(make_cycle(4))
     counts, lo, hi, mw, xw = kernels.scan_sums(dist, [])
@@ -282,16 +371,37 @@ def test_max_sums_matches_scan_sums():
         assert got.tolist() == want, (dists.shape, edges)
 
 
-def test_max_sums_memory_is_tiled():
+def test_max_sums_memory_is_tiled(monkeypatch):
     # the 853 classes at n = 7 walked a tile of 2^17 int16 sums at a time
-    # peak at about 1 MB traced; one tile per 7! block would hold 16 MB
-    dists = np.stack([distance_matrix(g) for g in enumerate_connected_graphs(7)])
-    edges = list(make_cycle(7).edges)
-    kernels.max_sums(dists, edges)
-    tracemalloc.start()
-    try:
-        kernels.max_sums(dists, edges)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 << 20
+    # peak at about 1 MB traced; one tile per 7! block would hold 16 MB.
+    # A 9! scan peaks at about 0.9 MB for a cycle H and 1.4 MB for K9
+    tables = []
+    group_table = kernels._group_table
+
+    def recorded(*args):
+        table = group_table(*args)
+        tables.append((table.dtype, table.size))
+        return table
+
+    monkeypatch.setattr(kernels, "_group_table", recorded)
+    classes = np.stack([distance_matrix(g) for g in enumerate_connected_graphs(7)])
+    dist = distance_matrix(build_graph(9, [(v // 2, v) for v in range(1, 9)] + [(3, 8)]))
+    calls = [
+        (kernels.max_sums, classes, make_cycle(7).edges, 4 << 20),
+        (kernels.max_sums, classes, make_complete(7).edges, 4 << 20),
+        (kernels.scan_sums, dist, make_cycle(9).edges, 2 << 20),
+        (kernels.scan_sums, dist, make_complete(9).edges, 2 << 20),
+    ]
+    for kernel, matrix, edges, bound in calls:
+        kernel(matrix, edges)
+        tables.clear()
+        tracemalloc.start()
+        try:
+            kernel(matrix, edges)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (kernel.__name__, len(edges), peak)
+        # each group's table, a view of the block or a sum of its edges,
+        # holds at most one tile of int16 entries
+        assert tables and all(dtype == np.int16 and size <= kernels._TILE_SUMS for dtype, size in tables)

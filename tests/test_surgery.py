@@ -282,9 +282,9 @@ def test_a_step_checks_its_tree_once_and_builds_only_the_kept_tree(monkeypatch):
     assert steps > 5
     # pathify's own check and no other; the input's and the final path's sums
     # only; each weight is computed once; BFS runs on the starting tree alone
-    # (pathify's check, the spanning-tree connectivity check, its n rows)
+    # (pathify's check, which is also the connectivity check, and its n rows)
     assert counts == {
-        "is_tree": 1, "_with_distances": steps, "branching_weight": 1 + steps, "pseudo_sum": 2, "_bfs": n + 2,
+        "is_tree": 1, "_with_distances": steps, "branching_weight": 1 + steps, "pseudo_sum": 2, "_bfs": n + 1,
     }
     counts.clear()
     json.dumps(trace_to_dict(trace))
