@@ -6,9 +6,10 @@ BFS distances, shape classification, unique tree paths and spanning trees.
 Data derived from a graph (its neighbour lists, distance matrix and graph6
 text) is computed once and lives on the graph object, so it goes when the
 graph goes.
-A graph's distances are computed by BFS from every vertex, or handed over
-when it is built: surgery derives each rewired tree's matrix from its
-parent's (`_with_distances`).
+A graph's neighbour lists and distances are computed from its edges (the
+distances by BFS from every vertex), or handed over when it is built:
+surgery derives each rewired tree's lists and matrix from its parent's
+(`_with_distances`).
 """
 
 from __future__ import annotations
@@ -86,16 +87,19 @@ def build_graph(n: int, edges) -> Graph:
     return Graph(n, tuple(sorted(normalized)))
 
 
-def _with_distances(n: int, edges: tuple[tuple[int, int], ...], dist: np.ndarray) -> Graph:
-    """Graph(n, edges) with dist already in its distance cache.
+def _with_distances(
+    n: int, edges: tuple[tuple[int, int], ...], adj: tuple[tuple[int, ...], ...], dist: np.ndarray
+) -> Graph:
+    """Graph(n, edges) with adj and dist already in its caches.
 
     The caller vouches that edges is normalized as build_graph leaves it
-    (pairs a < b, sorted, no duplicates) and that dist, an (n, n) int64
-    array no other object holds, is the graph's true distance matrix; it
-    is made read-only here.
+    (pairs a < b, sorted, no duplicates), that adj holds its sorted
+    neighbour tuples, and that dist, an (n, n) int64 array no other object
+    holds, is the graph's true distance matrix; it is made read-only here.
     """
     g = Graph(n, edges)
     dist.setflags(write=False)
+    g.__dict__["_adjacency"] = adj
     g.__dict__["_distances"] = dist
     return g
 

@@ -26,11 +26,18 @@ Three kernels read that one walk:
   (_group_size): 4 at n = 9, so a 9-cycle or 9-path is three takes per
   block, not nine; 2 for the 853 graphs of a stack at n = 7, one take
   per edge. scan_sums reads one graph, whose block is one tile: the
-  spectrum, its extremes and their witnesses. A 9! scan of a cycle takes
-  about 0.003-0.005 s (0.005-0.010 s with one take per edge) and a 10!
-  one about 0.05-0.06 s (0.09 s). max_sums reads a stack of graphs and keeps a running
-  maximum per graph: it scores the 853 connected classes at n = 7 in
-  about 0.006 s per H, and the 11117 at n = 8 in about 0.6-0.75 s per H.
+  spectrum, its extremes and their witnesses. A 9! scan of a path takes
+  about 0.003 s and a 10! one about 0.03 s. max_sums reads a stack of
+  graphs and keeps a running maximum per graph: it scores the 853
+  connected classes at n = 7 in about 0.006 s per H, and the 11117 at
+  n = 8 in about 0.6-0.75 s per H.
+- For a vertex-transitive H both read one slice, the permutations with
+  p[0] = 0: the first (n - 1)! columns of the table for n <= 8, else the
+  blocks whose prefix starts with 0. The caller derives the flag from H;
+  scan_sums multiplies the counts by n, and the lexicographically first
+  optimum always lies in the slice. A cycle's 9! scan then takes about
+  0.0007-0.001 s instead of 0.0034-0.0044 s, and its 10! scan 0.004 s
+  instead of 0.035 s.
 - code_columns reads each edge as its own group, the index of each
   position pair as the table, and turns each landing into the code bit of
   its pair, for n <= 8 only: a graph's code under every ordering is the
@@ -40,7 +47,8 @@ Three kernels read that one walk:
   0.08 s for the 853 classes at n = 7 and about 16-18 s for the 11117 at
   n = 8.
 
-Timings are Python 3.11, numpy 2.4, one core of a 2-core Xeon.
+Timings are Python 3.11, numpy 2.4, one core of a 2-core Xeon; scans are
+the best of 15 calls (5 at n = 10) on a tree plus three chords.
 """
 
 from __future__ import annotations
@@ -67,7 +75,7 @@ def _permutation_table(n: int) -> np.ndarray:
     return table
 
 
-def _landings(matrix: np.ndarray, groups):
+def _landings(matrix: np.ndarray, groups, pinned: bool = False):
     """Return (columns, blocks) for the lexicographic blocks of the n! permutations p.
 
     matrix is one (n, n) matrix or a (w, n, n) stack of them, and groups is
@@ -82,11 +90,21 @@ def _landings(matrix: np.ndarray, groups):
     first vertex the most significant digit, so that a table of n^len
     entries indexed by those positions, flattened, is read over the block
     by one take at the row, one entry per permutation.
+
+    pinned walks only the permutations with p[0] = 0, which come first: the
+    first (n - 1)! columns of the table for n <= 8, else the blocks whose
+    prefix starts with 0.
     """
     n = matrix.shape[-1]
     k = max(n - _TABLE_N, 0)
-    pos = [*range(k), *(_permutation_table(n - k) + np.uint8(k))]
-    columns = np.zeros((len(groups), math.factorial(n - k)), dtype=np.uint16)
+    table = _permutation_table(n - k)
+    prefixes = itertools.permutations(range(n), k)
+    if pinned and k:
+        prefixes = itertools.islice(prefixes, math.perm(n - 1, k - 1))
+    elif pinned:
+        table = table[:, : math.factorial(n - 1)]
+    pos = [*range(k), *(table + np.uint8(k))]
+    columns = np.zeros((len(groups), table.shape[1]), dtype=np.uint16)
     for column, vertices in zip(columns, groups):
         # uint16 holds every column: n^len is at most the block length
         # 8! < 2^16 or n^2 <= 256 (see _group_size); a prefix vertex is one
@@ -98,7 +116,7 @@ def _landings(matrix: np.ndarray, groups):
     cells = np.moveaxis(matrix, 0, -1) if matrix.ndim == 3 else matrix
 
     def blocks():
-        for prefix in itertools.permutations(range(n), k):
+        for prefix in prefixes:
             # not np.setdiff1d: its first call alone adds about 1.7 MB of RSS
             order = np.array([*prefix, *[v for v in range(n) if v not in prefix]], dtype=np.int64)
             yield order, cells[np.ix_(order, order)]
@@ -172,7 +190,7 @@ def _group_table(cells: np.ndarray, vertices, edges) -> np.ndarray:
     return table.reshape(-1, *rest)
 
 
-def _sum_tiles(matrix: np.ndarray, edges):
+def _sum_tiles(matrix: np.ndarray, edges, pinned: bool = False):
     """Yield (order, start, sums) over the _landings walk, in walk order.
 
     sums[r] holds, for the permutation p at row start + r of the block's
@@ -180,11 +198,12 @@ def _sum_tiles(matrix: np.ndarray, edges):
     per permutation, or a row of w for a stack. The edges, pairs of
     distinct vertices, are covered by groups of up to _group_size vertices,
     and each group adds one take from its table. A sum is at most
-    C(n, 2) * (n - 1) <= 1800 for n <= 16, so int16 holds it.
+    C(n, 2) * (n - 1) <= 1800 for n <= 16, so int16 holds it. pinned walks
+    only the permutations with p[0] = 0 (see _landings).
     """
     width = math.prod(matrix.shape[:-2])
     groups = _cover(edges, _group_size(matrix.shape[-1], width))
-    columns, blocks = _landings(matrix.astype(np.int16), [vertices for vertices, _ in groups])
+    columns, blocks = _landings(matrix.astype(np.int16), [vertices for vertices, _ in groups], pinned)
     tile = max(1, _TILE_SUMS // max(width, 1))
     for order, cells in blocks:
         tables = [_group_table(cells, *group) for group in groups]
@@ -230,12 +249,20 @@ def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, index
 
 
-def scan_sums(dist: np.ndarray, edges):
+def scan_sums(dist: np.ndarray, edges, transitive: bool = False):
     """Exhaustive sum scan; returns (counts, min, max, min_witness, max_witness).
 
     counts[s] is the number of permutations p with sum over edges (u, v) of
     dist[p[u], p[v]] equal to s, and each witness is the lexicographically
     first permutation attaining its extreme. The sums come from _sum_tiles.
+
+    transitive says that H, the graph of the edges on dist's n vertices, is
+    vertex-transitive; the scan then reads only the (n - 1)! permutations
+    with p[0] = 0 and multiplies the counts by n. That is exact: an
+    automorphism s of H with s(0) = x maps {p[0] = a} onto {p[x] = a} by
+    p -> p . s^-1, so each count is n times its count at p[0] = 0; and for
+    any optimum p, p . s with s(0) = p^-1(0) is an optimum with p[0] = 0,
+    so the lexicographically first optimum lies in the slice.
     """
     n = dist.shape[0]
     table = _permutation_table(min(n, _TABLE_N))
@@ -245,7 +272,7 @@ def scan_sums(dist: np.ndarray, edges):
     min_wit = np.zeros(n, dtype=np.int64)
     max_wit = np.zeros(n, dtype=np.int64)
     best_min, best_max = top + 1, -1
-    for order, start, sums in _sum_tiles(dist, edges):
+    for order, start, sums in _sum_tiles(dist, edges, transitive):
         counts += np.bincount(sums, minlength=top + 1)
         i = int(sums.argmin())
         if sums[i] < best_min:
@@ -257,20 +284,23 @@ def scan_sums(dist: np.ndarray, edges):
             best_max = int(sums[i])
             max_wit[:k] = order[:k]
             max_wit[k:] = order[k + table[:, start + i]]
+    if transitive:
+        counts *= n
     return counts, best_min, best_max, min_wit, max_wit
 
 
-def max_sums(dists: np.ndarray, edges) -> np.ndarray:
+def max_sums(dists: np.ndarray, edges, transitive: bool = False) -> np.ndarray:
     """Exhaustive maximum sum for each of a stack of distance matrices.
 
     dists is a (s, n, n) stack; entry i of the result is the maximum over
     all permutations p of the sum over edges (u, v) of dists[i, p[u], p[v]],
     which is scan_sums(dists[i], edges)[2] (0 for an edgeless H). The sums
     come from _sum_tiles, a tile of permutations against all s graphs at a
-    time, under a running maximum per graph.
+    time, under a running maximum per graph; a vertex-transitive H
+    (transitive, as in scan_sums) reads only the permutations with p[0] = 0.
     """
     best = np.zeros(dists.shape[0], dtype=np.int16)
-    for _, _, sums in _sum_tiles(dists, edges):
+    for _, _, sums in _sum_tiles(dists, edges, transitive):
         np.maximum(best, sums.max(axis=0), out=best)
     return best.astype(np.int64)
 

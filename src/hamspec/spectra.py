@@ -28,7 +28,7 @@ from .graphs import (
 )
 
 # n! grows too fast for exhaustive scans much past this; spectrum refuses
-# larger n, and every exhaustive answer reads spectrum
+# larger n, and every exhaustive number reads spectrum
 EXHAUSTIVE_CAP = 9
 
 
@@ -45,6 +45,11 @@ def _check_same_order(h: Graph, g: Graph) -> None:
         raise GraphError(f"vertex counts differ: H has {h.n}, G has {g.n}")
 
 
+def _check_connected(g: Graph) -> None:
+    if not is_connected(g):
+        raise GraphError("spectrum needs a connected G")
+
+
 def _check_bijection(f, n: int) -> tuple[int, ...]:
     f = tuple(f)
     if sorted(f) != list(range(n)):
@@ -58,20 +63,6 @@ def pseudo_sum(h: Graph, g: Graph, f) -> int:
     f = _check_bijection(f, g.n)
     dg = distance_matrix(g)
     return int(sum(dg[f[a], f[b]] for a, b in h.edges))
-
-
-def cyclic_sum(g: Graph, order) -> int:
-    """Closed-tour sum: consecutive distances along order, plus the wrap-around."""
-    if g.n < 3:
-        raise GraphError(f"cyclic sums need n >= 3, got n={g.n}")
-    return pseudo_sum(make_cycle(g.n), g, order)
-
-
-def trail_sum(g: Graph, order) -> int:
-    """Open-tour sum: consecutive distances along order, no wrap-around."""
-    if g.n < 2:
-        raise GraphError(f"trail sums need n >= 2, got n={g.n}")
-    return pseudo_sum(make_path(g.n), g, order)
 
 
 @dataclass(frozen=True)
@@ -104,14 +95,17 @@ def spectrum(h: Graph, g: Graph) -> SpectrumReport:
 
     Witnesses are the lexicographically smallest bijections attaining the
     extremes, so reports are reproducible across runs. The scan covers all
-    n! bijections, so n above EXHAUSTIVE_CAP is refused.
+    n! bijections, so n above EXHAUSTIVE_CAP is refused; for a
+    vertex-transitive H it reads the (n - 1)! with f(0) = 0 and counts each
+    n times (see kernels.scan_sums).
     """
     _check_same_order(h, g)
-    if not is_connected(g):
-        raise GraphError("spectrum needs a connected G")
+    _check_connected(g)
     _check_scan_cap(g.n)
     dg = distance_matrix(g)
-    counts, best_min, best_max, min_wit, max_wit = kernels.scan_sums(dg, h.edges)
+    counts, best_min, best_max, min_wit, max_wit = kernels.scan_sums(
+        dg, h.edges, transitive=_vertex_transitive(h)
+    )
     values = tuple((s, int(c)) for s, c in enumerate(counts) if c)
     return SpectrumReport(
         values=values,
@@ -168,7 +162,20 @@ def _aut_orbit(adj: tuple[tuple[int, ...], ...], x0: int) -> set[int]:
     return orbit
 
 
-def _branch_and_bound(h: Graph, g: Graph, sense: str) -> tuple[int, tuple[int, ...]]:
+def _vertex_transitive(h: Graph) -> bool:
+    """True iff Aut(H) maps vertex 0 to every vertex.
+
+    Regularity is checked first, as the cheap necessary condition; it is not
+    sufficient (C3 + C4 is 2-regular, and no automorphism maps a triangle
+    vertex into the square).
+    """
+    adj = adjacency(h)
+    return len({len(a) for a in adj}) == 1 and len(_aut_orbit(adj, 0)) == h.n
+
+
+def _branch_and_bound(
+    h: Graph, g: Graph, sense: str, incumbent: int | None = None
+) -> tuple[int, tuple[int, ...]]:
     """Exact extremal sum by depth-first assignment with admissible bounds.
 
     The minimum is the maximum over negated distances, so one search with
@@ -190,6 +197,10 @@ def _branch_and_bound(h: Graph, g: Graph, sense: str) -> tuple[int, tuple[int, .
     that maps x0 below every other vertex of x0's Aut(H)-orbit, so the other
     orbit vertices only take G-vertices above f(x0). The witness is the first
     optimum completed, which need not be the lexicographically smallest.
+
+    An incumbent value starts the search as the best found so far, so only
+    bijections strictly better than it are completed; when none is, the
+    result is (incumbent, ()).
     """
     n = g.n
     sign = 1 if sense == "max" else -1
@@ -216,7 +227,7 @@ def _branch_and_bound(h: Graph, g: Graph, sense: str) -> tuple[int, tuple[int, .
 
     fmap = [-1] * n
     used = [False] * n
-    best_val = -math.inf
+    best_val = -math.inf if incumbent is None else sign * incumbent
     best_wit: tuple[int, ...] = ()
 
     def search(depth: int, partial: int, cap: int) -> None:
@@ -325,8 +336,15 @@ def contains_subgraph(h: Graph, g: Graph) -> bool:
 
     Equivalent to the minimum sum hitting its floor |E(H)|: a bijection
     achieves distance exactly 1 on every H-edge iff it embeds H into G.
+    The min-sense search starts from the incumbent |E(H)| + 1, so it only
+    completes a bijection at the floor: it backtracks on the first H-edge
+    that lands on a G-distance above 1 and stops at the first embedding.
+    No scan runs, so no cap applies.
     """
-    return spectrum(h, g).min == len(h.edges)
+    _check_same_order(h, g)
+    _check_connected(g)
+    floor = len(h.edges)
+    return _branch_and_bound(h, g, "min", incumbent=floor + 1)[0] == floor
 
 
 def isomorphic_via_h(h: Graph, g: Graph) -> bool:

@@ -10,12 +10,13 @@ spanning tree first extends this to arbitrary connected inputs.
 
 The stub's side is a pendant subtree, so moving it changes only the
 distances that cross the cut (the exchange lemma): each rewired tree gets
-its distance matrix from its parent's by one block shift, and a step's sum
-changes by d(end, y) - d(fork, y) summed over the linked cross pairs
-(x on the spur side, y off it). Only the starting tree runs BFS; a tree a
-step built is a tree by construction and is never checked again, and a run
-sums its bijection by distances only on the input, on the spanning tree and
-on the final path, where the last sum cross-checks the chained step sums.
+its distance matrix from its parent's by one block shift and its neighbour
+lists from its parent's, three of them changed; a step's sum changes by
+d(end, y) - d(fork, y) summed over the linked cross pairs (x on the spur
+side, y off it). Only the starting tree runs BFS; a tree a step built is a
+tree by construction and is never checked again, and a run sums its
+bijection by distances only on the input, on the spanning tree and on the
+final path, where the last sum cross-checks the chained step sums.
 """
 
 from __future__ import annotations
@@ -146,6 +147,7 @@ def _rewired(t: Graph, d: np.ndarray, side: np.ndarray, junction: Junction, end:
 
     The spur side (mask side) is a pendant subtree, so only distances across
     the cut change: x on it and y off it end d(x, stub) + 1 + d(end, y) apart.
+    Of the neighbour lists, only the stub's, the fork's and the end's change.
     """
     stub, fork = junction.stub, junction.fork
     inside, outside = np.flatnonzero(side), np.flatnonzero(~side)
@@ -158,7 +160,11 @@ def _rewired(t: Graph, d: np.ndarray, side: np.ndarray, junction: Junction, end:
     # t.edges is sorted, so the kept edges are too; stub-end is not among them
     edges = [e for e in t.edges if e != cut]
     bisect.insort(edges, (min(stub, end), max(stub, end)))
-    return _with_distances(t.n, tuple(edges), dist)
+    adj = list(adjacency(t))
+    adj[stub] = tuple(sorted([w for w in adj[stub] if w != fork] + [end]))
+    adj[fork] = tuple(w for w in adj[fork] if w != stub)
+    adj[end] = tuple(sorted((*adj[end], stub)))
+    return _with_distances(t.n, tuple(edges), tuple(adj), dist)
 
 
 def rewire(t: Graph, junction: Junction, triple: LeafTriple) -> tuple[Graph, Graph]:

@@ -31,7 +31,7 @@ from .graphs import (
     render_graph,
     _spanning_tree_iter,
 )
-from .spectra import _check_scan_cap, spectrum
+from .spectra import _check_scan_cap, _vertex_transitive, spectrum
 
 # n=8 holds 11117 classes; enumerating them takes about 16-18 s, against under
 # 1 s to score them all against one H (timings in the kernels module
@@ -175,7 +175,9 @@ def verify_upper_bound(
     path, with equality exactly when G is the path. The bound comes from
     one exhaustive scan of the path, so it cross-checks kernels.max_sums
     on the path's own item; max_sums scores the graphs' one distance stack
-    against each H, also exhaustively, so every value reported is exact.
+    against each H, also exhaustively (over f(0) = 0 alone for a
+    vertex-transitive H, which loses no maximum), so every value reported
+    is exact.
     A progress file (one key per line) lets an interrupted sweep resume:
     recorded keys are skipped but still counted, and an interrupt loses at
     most the H in hand. Only passing items are recorded, so failures are
@@ -208,7 +210,7 @@ def verify_upper_bound(
                 if not todo:
                     continue
                 stack = dists[todo]
-            values = kernels.max_sums(stack, h.edges)
+            values = kernels.max_sums(stack, h.edges, transitive=_vertex_transitive(h))
             for i, value in zip(todo, values.tolist()):
                 problem = _check_upper_bound_item(shapes[i], value, bound)
                 if problem is None:

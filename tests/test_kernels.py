@@ -11,9 +11,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from generate import random_connected_graph
 from hamspec import kernels
 from hamspec.graphs import build_graph, distance_matrix, make_complete, make_cycle, make_path
-from hamspec.spectra import _branch_and_bound, pseudo_sum
+from hamspec.spectra import _branch_and_bound, _vertex_transitive, pseudo_sum, spectrum
 from hamspec.verify import enumerate_connected_graphs
 
 
@@ -405,3 +406,78 @@ def test_max_sums_memory_is_tiled(monkeypatch):
         # each group's table, a view of the block or a sum of its edges,
         # holds at most one tile of int16 entries
         assert tables and all(dtype == np.int16 and size <= kernels._TILE_SUMS for dtype, size in tables)
+
+
+def _transitive_shapes(n):
+    """Vertex-transitive H on n vertices: the cycle, K_n, the edgeless graph,
+    the perfect matching, and at n = 6 the prism, K3,3 and C3 + C3."""
+    shapes = [make_cycle(n), make_complete(n), build_graph(n, [])]
+    if n % 2 == 0:
+        shapes.append(build_graph(n, [(2 * k, 2 * k + 1) for k in range(n // 2)]))
+    if n == 6:
+        triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+        shapes += [
+            build_graph(6, triangles + [(0, 3), (1, 4), (2, 5)]),
+            build_graph(6, [(a, b) for a in range(3) for b in range(3, 6)]),
+            build_graph(6, triangles),
+        ]
+    return shapes
+
+
+def test_transitive_h_scans_one_slice():
+    # spectrum takes the f(0) = 0 slice for these H; the full walk agrees
+    rng = random.Random(23023)
+    for n in range(3, 9):
+        for h in _transitive_shapes(n):
+            assert _vertex_transitive(h), h
+            for _ in range(2):
+                g = random_connected_graph(n, rng)
+                dist = distance_matrix(g)
+                rep = spectrum(h, g)
+                counts, lo, hi, mw, xw = kernels.scan_sums(dist, h.edges)
+                assert rep.values == tuple((s, int(c)) for s, c in enumerate(counts) if c), (h, g)
+                assert (rep.min, rep.max) == (lo, hi)
+                assert (rep.min_witness, rep.max_witness) == (tuple(mw), tuple(xw)), (h, g)
+                assert rep.enumerated == math.factorial(n)
+    # the slice reads (n - 1)! of the n! permutations
+    dist = distance_matrix(make_path(5))
+    edges = make_cycle(5).edges
+    full = sum(sums.shape[0] for _, _, sums in kernels._sum_tiles(dist, edges))
+    pinned = sum(sums.shape[0] for _, _, sums in kernels._sum_tiles(dist, edges, True))
+    assert (full, pinned) == (120, 24)
+
+
+def test_transitive_slice_past_the_table():
+    # n = 9 and 10 take the blocks whose prefix starts with 0
+    rng = random.Random(91010)
+    for n in (9, 10):
+        g = random_connected_graph(n, rng)
+        dist = distance_matrix(g)
+        edges = make_cycle(n).edges
+        counts, lo, hi, mw, xw = kernels.scan_sums(dist, edges, transitive=True)
+        want = kernels.scan_sums(dist, edges)
+        assert (counts.tolist(), lo, hi) == (want[0].tolist(), want[1], want[2])
+        assert (tuple(mw), tuple(xw)) == (tuple(want[3]), tuple(want[4]))
+
+
+def test_regular_h_that_is_not_transitive_takes_the_full_walk():
+    # C3 + C4 is 2-regular, but no automorphism maps a triangle vertex into the square
+    c3c4 = build_graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
+    assert not _vertex_transitive(c3c4)
+    assert not _vertex_transitive(make_path(7))
+    g = build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 5), (0, 3)])
+    rep = spectrum(c3c4, g)
+    want = kernels.scan_sums(distance_matrix(g), c3c4.edges)
+    got = kernels.scan_sums(distance_matrix(g), c3c4.edges, transitive=True)
+    # the slice would miscount this H
+    assert got[0].tolist() != want[0].tolist()
+    assert rep.values == tuple((s, int(c)) for s, c in enumerate(want[0]) if c)
+    assert (rep.min_witness, rep.max_witness) == (tuple(want[3]), tuple(want[4]))
+
+
+def test_transitive_max_sums_over_the_class_stack():
+    classes = enumerate_connected_graphs(7)
+    dists = np.stack([distance_matrix(g) for g in classes])
+    edges = make_cycle(7).edges
+    want = [kernels.scan_sums(d, edges)[2] for d in dists]
+    assert kernels.max_sums(dists, edges, transitive=True).tolist() == want

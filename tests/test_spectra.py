@@ -24,15 +24,14 @@ from hamspec.spectra import (
     _aut_orbit,
     classic_numbers,
     contains_subgraph,
-    cyclic_sum,
     extremal_number,
     hamiltonian_numbers,
     isomorphic_via_h,
     pseudo_sum,
     spectrum,
     traceable_numbers,
-    trail_sum,
 )
+from hamspec.verify import enumerate_connected_graphs
 
 STAR4 = build_graph(4, [(0, 1), (0, 2), (0, 3)])
 
@@ -58,17 +57,18 @@ def test_pseudo_sum_validation():
 
 
 def test_tour_sums_small_cases():
+    # a tour sum is the pseudo sum of the path (open) or the cycle (closed)
     p4 = make_path(4)
-    assert trail_sum(p4, (0, 1, 2, 3)) == 3
-    assert cyclic_sum(p4, (0, 1, 2, 3)) == 6
+    assert pseudo_sum(make_path(4), p4, (0, 1, 2, 3)) == 3
+    assert pseudo_sum(make_cycle(4), p4, (0, 1, 2, 3)) == 6
     c4 = make_cycle(4)
-    assert cyclic_sum(c4, (0, 1, 2, 3)) == 4
-    assert trail_sum(c4, (0, 2, 1, 3)) == 5
-    assert cyclic_sum(c4, (0, 2, 1, 3)) == 6
+    assert pseudo_sum(make_cycle(4), c4, (0, 1, 2, 3)) == 4
+    assert pseudo_sum(make_path(4), c4, (0, 2, 1, 3)) == 5
+    assert pseudo_sum(make_cycle(4), c4, (0, 2, 1, 3)) == 6
     with pytest.raises(GraphError):
-        cyclic_sum(make_path(2), (0, 1))
+        make_cycle(2)
     with pytest.raises(GraphError):
-        trail_sum(make_path(2), (0, 0))
+        pseudo_sum(make_path(2), make_path(2), (0, 0))
 
 
 @settings(max_examples=60)
@@ -78,9 +78,11 @@ def test_tour_sums_are_pseudo_sums(data):
     rng = random.Random(data.draw(st.integers(min_value=0, max_value=10**6)))
     g = random_connected_graph(n, rng)
     order = random_bijection(n, rng)
-    assert trail_sum(g, order) == pseudo_sum(make_path(n), g, order)
-    assert cyclic_sum(g, order) == pseudo_sum(make_cycle(n), g, order)
-    assert cyclic_sum(g, order) >= trail_sum(g, order) + 1
+    closed = pseudo_sum(make_cycle(n), g, order)
+    trail = pseudo_sum(make_path(n), g, order)
+    # the closed tour adds the wrap-around edge {0, n - 1}
+    assert closed == trail + distance_matrix(g)[order[0], order[-1]]
+    assert closed >= trail + 1
 
 
 def test_spectrum_path_pair():
@@ -127,13 +129,23 @@ def test_extremal_number_respects_cap():
     assert pseudo_sum(p10, p10, max_wit) == 49
 
 
-def test_subgraph_and_isomorphism_keep_the_cap():
-    # spectrum alone holds the cap: neither wrapper can raise it
-    p10 = make_path(10)
-    relabeled = build_graph(10, [(v, (v + 3) % 10) for v in range(9)])
-    for check in (contains_subgraph, isomorphic_via_h):
-        with pytest.raises(GraphError, match="exceeds cap"):
-            check(p10, relabeled)
+def test_subgraph_and_isomorphism_past_the_scan_cap():
+    # both answer through the seeded min-sense search, which has no cap
+    rng = random.Random(1012)
+    for n in (10, 12):
+        path = make_path(n)
+        relabel = random_bijection(n, rng)
+        relabeled = build_graph(n, [(relabel[a], relabel[b]) for a, b in path.edges])
+        assert isomorphic_via_h(path, relabeled)
+        assert contains_subgraph(path, relabeled)
+        star = build_graph(n, [(0, k) for k in range(1, n)])
+        assert not isomorphic_via_h(path, star)
+        assert not contains_subgraph(path, star)
+        assert contains_subgraph(make_cycle(n), make_complete(n))
+        assert not contains_subgraph(make_complete(n), make_cycle(n))
+        # a disconnected G is refused as before
+        with pytest.raises(GraphError, match="needs a connected G"):
+            contains_subgraph(path, build_graph(n, path.edges[1:]))
 
 
 def test_spectrum_report_serialization():
@@ -330,6 +342,54 @@ def test_contains_subgraph_known_cases():
     assert contains_subgraph(STAR4, make_complete(4))
     assert not contains_subgraph(make_path(4), STAR4)
     assert contains_subgraph(build_graph(4, []), STAR4)
+
+
+def _scan_embeds(h, g):
+    """The exhaustive verdict: the full n! walk's minimum sum is |E(H)|."""
+    return kernels.scan_sums(distance_matrix(g), h.edges)[1] == len(h.edges)
+
+
+def test_embedding_search_matches_the_scan_on_all_classes():
+    # every ordered pair of connected classes at n <= 6, 12544 at n = 6
+    for n in range(1, 7):
+        classes = enumerate_connected_graphs(n)
+        for h, g in itertools.product(classes, classes):
+            assert contains_subgraph(h, g) == _scan_embeds(h, g), (h, g)
+
+
+def _circulant(n, jumps):
+    return build_graph(n, [(v, (v + j) % n) for v in range(n) for j in jumps])
+
+
+def _relabeled(g, rng):
+    f = random_bijection(g.n, rng)
+    return build_graph(g.n, [(f[a], f[b]) for a, b in g.edges])
+
+
+def test_embedding_search_matches_the_scan_on_seeded_pairs():
+    rng = random.Random(70909)
+    pairs = []
+    for n in (7, 8, 9):
+        for _ in range(4):
+            g = random_connected_graph(n, rng, extra_edges=rng.randint(1, 5))
+            # an isomorphic copy, a sparser H, and one with G's edge count
+            pairs += [(_relabeled(g, rng), g), (random_connected_graph(n, rng), g)]
+            pairs.append((random_connected_graph(n, rng, extra_edges=len(g.edges) - n + 1), g))
+    # 4-regular pairs on 9 vertices with 18 edges each, where the search
+    # cannot prune on degrees: two circulants and the 3 x 3 rook graph
+    rook = build_graph(9, [(a, b) for a in range(9) for b in range(a + 1, 9) if a // 3 == b // 3 or a % 3 == b % 3])
+    c12, c13 = _circulant(9, (1, 2)), _circulant(9, (1, 3))
+    for h, g in itertools.product((c12, c13, rook), repeat=2):
+        pairs += [(h, g), (_relabeled(h, rng), g)]
+    pairs += [(make_cycle(9), c12), (make_cycle(9), rook), (make_path(9), rook)]
+    verdicts = set()
+    for h, g in pairs:
+        want = _scan_embeds(h, g)
+        assert contains_subgraph(h, g) == want, (h, g)
+        assert isomorphic_via_h(h, g) == (want and len(h.edges) == len(g.edges)), (h, g)
+        verdicts.add(want)
+    assert verdicts == {True, False}
+    assert not isomorphic_via_h(c12, c13) and not isomorphic_via_h(c12, rook)
 
 
 def test_isomorphic_via_h():

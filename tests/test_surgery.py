@@ -1,6 +1,7 @@
 """Leaf-triple rewiring: junction anatomy, sum monotonicity, and traces."""
 
 import collections
+import functools
 import gc
 import itertools
 import json
@@ -302,6 +303,37 @@ def test_a_step_checks_its_tree_once_and_builds_only_the_kept_tree(monkeypatch):
     # that is not a tree renders apart from its spanning tree
     assert (counts["is_tree"], counts["pseudo_sum"], counts["branching_weight"]) == (0, 3, 1 + steps)
     assert counts["_graph6_encode"] == 2 + steps
+
+
+def test_rewired_trees_carry_their_neighbour_lists(monkeypatch):
+    built = []
+    build = graphs.Graph._adjacency.func
+
+    def counted(g):
+        built.append(g)
+        return build(g)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(graphs.Graph, "_adjacency")
+    monkeypatch.setattr(graphs.Graph, "_adjacency", prop)
+    rng = random.Random(40417)
+    n = 40
+    tree = build_graph(n, random_tree(n, rng).edges)
+    built.clear()
+    trace = pathify(tree, make_cycle(n), random_bijection(n, rng))
+    assert len(trace.steps) > 5
+    # only the starting tree builds its lists from its edges
+    assert len(built) == 1 and built[0] is tree
+    n = 15
+    g = build_graph(n, list(itertools.combinations(range(7), 2)) + [(v, v + 1) for v in range(6, n - 1)])
+    built.clear()
+    general = pathify_general(g, make_cycle(n), tuple(range(n)))
+    assert len(general.steps) > 1
+    # the input and its spanning tree; no tree a step built
+    assert len(built) == 2 and built[0] is g and built[1] is general.spanning_tree
+    # each carried list is the one the tree's own edges give
+    for step in trace.steps + general.steps:
+        assert graphs.adjacency(step.after) == build(graphs.Graph(step.after.n, step.after.edges)), step.triple
 
 
 def test_step_sums_match_sums_on_rebuilt_trees():

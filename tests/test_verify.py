@@ -257,9 +257,9 @@ def test_upper_bound_resume_scores_only_unrecorded(tmp_path, monkeypatch):
     max_sums = kernels.max_sums
     scored = []
 
-    def count(dists, edges):
+    def count(dists, edges, **kwargs):
         scored.append(len(dists))
-        return max_sums(dists, edges)
+        return max_sums(dists, edges, **kwargs)
 
     monkeypatch.setattr(verify_mod.kernels, "max_sums", count)
     assert verify_upper_bound(6, progress_path=str(progress)) == full
@@ -284,8 +284,8 @@ def test_upper_bound_failure_reports_the_batched_value(tmp_path, monkeypatch):
     target_dist = distance_matrix(target)
     max_sums = kernels.max_sums
 
-    def raise_one(dists, edges):
-        values = max_sums(dists, edges)
+    def raise_one(dists, edges, **kwargs):
+        values = max_sums(dists, edges, **kwargs)
         # n - 1 edges: only for the path H, not the cycle
         if len(edges) == n - 1:
             for i, d in enumerate(dists):
