@@ -4,20 +4,24 @@ Every kernel asks one question of each permutation p: which positions
 p[u] do the vertices u of H land on? _landings answers it, for one square
 matrix or a stack of them, over the cached lexicographic table of
 permutations, built once per n <= 8 and held as one uint8 position per
-vertex and permutation (0.3 MB at n = 8), in lexicographic blocks: a
-prefix of k = max(n - 8, 0) fixed vertices followed by the remaining
-vertices arranged by the table, so no larger table is ever built and for
-n <= 8 the one block is the table itself. The blocks come in global
-lexicographic order, so the first permutation attaining an extreme is the
-lexicographically smallest one. Each block reorders the matrix, or each
+vertex and permutation (0.3 MB at n = 8), one block per prefix: a prefix
+of k fixed vertices followed by the remaining vertices arranged by the
+(n - k)! table, so no table past 8! is ever built. The walk reads the
+prefixes it is given. The scans give it the lexicographic k-permutations
+for k = max(n - 8, 0) (_prefixes), which come in global lexicographic
+order, so the first permutation attaining an extreme is the
+lexicographically smallest one, and for n <= 8 the one block is the table
+itself. The branch-and-bound in spectra.py gives it the prefixes that
+survive its bound, one at a time. Each block reorders the matrix, or each
 matrix of a stack, by its vertex order once, and the walk reads a group of
 H-vertices as one uint16 column per permutation, the mixed-radix number of
-the group's positions, built once per walk.
+the group's positions, built once per walk (_columns).
 
-Three kernels read that one walk:
+Four kernels read that one walk:
 
 - scan_sums and max_sums add int16 sums, one per permutation and graph,
-  through _sum_tiles, which holds at most 2^17 sums at a time. It covers
+  through _block_sums, which holds at most 2^17 sums at a time; past
+  32767, |E(H)| times the largest |entry|, the sums are int32. It covers
   H's edges by groups of up to s vertices (_cover, one greedy pass) and
   reads each group's edges with one take from the group's table: the
   n^s entries, one per placement of the group, of the block's matrix
@@ -32,12 +36,23 @@ Three kernels read that one walk:
   connected classes at n = 7 in about 0.006 s per H, and the 11117 at
   n = 8 in about 0.6-0.75 s per H.
 - For a vertex-transitive H both read one slice, the permutations with
-  p[0] = 0: the first (n - 1)! columns of the table for n <= 8, else the
-  blocks whose prefix starts with 0. The caller derives the flag from H;
-  scan_sums multiplies the counts by n, and the lexicographically first
-  optimum always lies in the slice. A cycle's 9! scan then takes about
+  p[0] = 0: the prefixes that start with 0, for k = max(n - 8, 1), so for
+  n <= 8 the one prefix (0,) over the (n - 1)! table, the same
+  permutations in the same order as the first (n - 1)! columns of the n!
+  table. The caller derives the flag from H; scan_sums multiplies the
+  counts by n, and the lexicographically first optimum always lies in
+  the slice. A cycle's 9! scan then takes about
   0.0007-0.001 s instead of 0.0034-0.0044 s, and its 10! scan 0.004 s
   instead of 0.035 s.
+- best_completion scores the (n - k)! completions of one prefix, for
+  k = max(n - 8, 1), as one block and returns the block's first maximum.
+  The branch-and-bound places the first k H-vertices in Python and calls
+  it at each prefix that survives its bound: a block takes about 0.33 ms
+  at n = 9, 0.4-0.5 ms at n = 10 and 0.5-0.55 ms at n = 12 for a path or
+  cycle H. A whole search over the 21 stored 9- and 10-vertex instances
+  of the benchmark pool takes about 3.5 ms per call in the median and
+  0.15 s in all (2.0 s when the search placed every vertex in Python). It
+  caches the columns of its last 16 H (_cached_columns).
 - code_columns reads each edge as its own group, the index of each
   position pair as the table, and turns each landing into the code bit of
   its pair, for n <= 8 only: a graph's code under every ordering is the
@@ -48,7 +63,8 @@ Three kernels read that one walk:
   n = 8.
 
 Timings are Python 3.11, numpy 2.4, one core of a 2-core Xeon; scans are
-the best of 15 calls (5 at n = 10) on a tree plus three chords.
+the best of 15 calls (5 at n = 10) on a tree plus three chords, blocks
+the best of 7 runs of 50 on a tree plus three chords.
 """
 
 from __future__ import annotations
@@ -69,62 +85,90 @@ def _permutation_table(n: int) -> np.ndarray:
     """All n! permutations of range(n) in lexicographic order, as uint8
     positions: entry [v, r] is vertex v's position in permutation r."""
     flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
-    table = np.fromiter(flat, dtype=np.uint8).reshape(-1, n).T.copy()
+    table = np.fromiter(flat, dtype=np.uint8).reshape(math.factorial(n), n).T.copy()
     # shared by every caller, and walks read it without a copy
     table.setflags(write=False)
     return table
 
 
-def _landings(matrix: np.ndarray, groups, pinned: bool = False):
-    """Return (columns, blocks) for the lexicographic blocks of the n! permutations p.
+def _prefixes(n: int, transitive: bool = False):
+    """Return (k, prefixes), the blocks of the scan's walk over the n! permutations.
 
-    matrix is one (n, n) matrix or a (w, n, n) stack of them, and groups is
-    a sequence of H-vertex tuples. blocks yields (order, cells) per block.
-    order is a prefix of k = max(n - 8, 0) distinct vertices, the prefixes
-    coming in lexicographic order, then the other vertices in ascending
-    order; the block maps each vertex u to order[pos[u]], where pos[u] is u
-    inside the prefix and k plus u's row of the cached (n - k)! table past
-    it. cells is matrix reordered by order, (n, n) or, for a stack, (n, n,
-    w) with the stack axis last. columns has one uint16 row per group, in
-    group order: the mixed-radix number of the group's positions, its
-    first vertex the most significant digit, so that a table of n^len
-    entries indexed by those positions, flattened, is read over the block
-    by one take at the row, one entry per permutation.
-
-    pinned walks only the permutations with p[0] = 0, which come first: the
-    first (n - 1)! columns of the table for n <= 8, else the blocks whose
-    prefix starts with 0.
+    The prefixes are the lexicographic k-permutations of range(n) for
+    k = max(n - 8, 0), so the blocks come in global lexicographic order and
+    no table past 8! is built. transitive walks only the permutations with
+    p[0] = 0, which come first: the prefixes that start with 0, for
+    k = max(n - 8, 1), so for n <= 8 the one prefix (0,) over the (n - 1)!
+    table, the first (n - 1)! columns of the n! table.
     """
-    n = matrix.shape[-1]
-    k = max(n - _TABLE_N, 0)
+    if not transitive:
+        k = max(n - _TABLE_N, 0)
+        return k, itertools.permutations(range(n), k)
+    k = max(n - _TABLE_N, 1)
+    return k, ((0, *rest) for rest in itertools.permutations(range(1, n), k - 1))
+
+
+def _columns(n: int, k: int, groups: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """One read-only uint16 row per group, in group order, over the (n - k)! table.
+
+    Row g is the mixed-radix number of the positions of group g's vertices,
+    its first vertex the most significant digit, where vertex u's position
+    is u for u < k (a prefix vertex, one position for the whole block) and
+    k plus u's row of the table past it. A table of n^len entries indexed
+    by those positions, flattened, is then read over a block by one take at
+    the row, one entry per permutation.
+    """
     table = _permutation_table(n - k)
-    prefixes = itertools.permutations(range(n), k)
-    if pinned and k:
-        prefixes = itertools.islice(prefixes, math.perm(n - 1, k - 1))
-    elif pinned:
-        table = table[:, : math.factorial(n - 1)]
     pos = [*range(k), *(table + np.uint8(k))]
     columns = np.zeros((len(groups), table.shape[1]), dtype=np.uint16)
     for column, vertices in zip(columns, groups):
         # uint16 holds every column: n^len is at most the block length
-        # 8! < 2^16 or n^2 <= 256 (see _group_size); a prefix vertex is one
-        # position for the whole block
+        # 8! < 2^16 or n^2 <= 256 (see _group_size)
         for v in vertices:
             column *= n
             column += pos[v]
+    columns.setflags(write=False)
+    return columns
+
+
+# The branch-and-bound builds its columns once per call, for the same
+# relabelled H in call after call, and holds them while its Python search
+# runs. A fresh 0.2-0.4 MB array per call, live across the search,
+# fragments the heap: peak RSS over 20 s of the search workload's calls
+# grew from 31 to 41 MB, and with this cache to 35 MB. Scans build theirs
+# afresh: their H varies from call to call, and cached columns for each
+# would hold memory that no later call reads.
+_cached_columns = lru_cache(maxsize=16)(_columns)
+
+
+def _landings(matrix: np.ndarray, groups, k: int, cache: bool = False):
+    """Return (columns, block) for the permutations p that extend a prefix of k vertices.
+
+    matrix is one (n, n) matrix or a (w, n, n) stack of them, and groups is
+    a sequence of H-vertex tuples; columns is _columns(n, k, groups), from
+    _cached_columns when cache is set. block(prefix), for a prefix of k
+    distinct vertices, returns (order, cells): order is the prefix followed
+    by the other vertices in ascending order, and the block maps each
+    vertex u to order[pos[u]], pos[u] being u's position (see _columns), so
+    vertex u < k lands on prefix[u]. cells is matrix reordered by order,
+    (n, n) or, for a stack, (n, n, w) with the stack axis last. The columns
+    do not depend on the prefix, so a walk reads any prefixes it is given,
+    in any order, against one set of columns.
+    """
+    n = matrix.shape[-1]
+    columns = (_cached_columns if cache else _columns)(n, k, tuple(map(tuple, groups)))
     # position pairs first, the stack axis last
     cells = np.moveaxis(matrix, 0, -1) if matrix.ndim == 3 else matrix
 
-    def blocks():
-        for prefix in prefixes:
-            # not np.setdiff1d: its first call alone adds about 1.7 MB of RSS
-            order = np.array([*prefix, *[v for v in range(n) if v not in prefix]], dtype=np.int64)
-            yield order, cells[np.ix_(order, order)]
+    def block(prefix):
+        # not np.setdiff1d: its first call alone adds about 1.7 MB of RSS
+        order = np.array([*prefix, *[v for v in range(n) if v not in prefix]], dtype=np.int64)
+        return order, cells[np.ix_(order, order)]
 
-    return columns, blocks()
+    return columns, block
 
 
-# the int16 sums _sum_tiles holds at a time (256 KB), and the most entries
+# the sums _block_sums holds at a time (256 KB as int16), and the most entries
 # a table of three or more H-vertices may hold. One matrix's block, at most
 # 8! sums, is one tile; a stack of w matrices is walked 2^17 // w
 # permutations a tile, which keeps max_sums over the 853 classes at n = 7
@@ -190,29 +234,70 @@ def _group_table(cells: np.ndarray, vertices, edges) -> np.ndarray:
     return table.reshape(-1, *rest)
 
 
-def _sum_tiles(matrix: np.ndarray, edges, pinned: bool = False):
-    """Yield (order, start, sums) over the _landings walk, in walk order.
+def _block_sums(matrix: np.ndarray, edges, k: int, cache: bool = False):
+    """Return tiles(prefix), which yields (order, start, sums) over one block.
 
-    sums[r] holds, for the permutation p at row start + r of the block's
-    table, the sum over edges (u, v) of matrix[..., p[u], p[v]]: one int16
-    per permutation, or a row of w for a stack. The edges, pairs of
+    The block is the permutations p extending a prefix of k vertices (see
+    _landings). sums[r] holds, for the permutation p at row start + r of
+    the block's table, the sum over edges (u, v) of matrix[..., p[u], p[v]]:
+    one per permutation, or a row of w for a stack. The edges, pairs of
     distinct vertices, are covered by groups of up to _group_size vertices,
-    and each group adds one take from its table. A sum is at most
-    C(n, 2) * (n - 1) <= 1800 for n <= 16, so int16 holds it. pinned walks
-    only the permutations with p[0] = 0 (see _landings).
+    and each group adds one take from its table. The sums are int16 while
+    |edges| times the largest |entry| bounds them by 32767, which holds for
+    any distance matrix at n <= 16 (C(n, 2) * (n - 1) <= 1800), and int32
+    past that.
     """
     width = math.prod(matrix.shape[:-2])
     groups = _cover(edges, _group_size(matrix.shape[-1], width))
-    columns, blocks = _landings(matrix.astype(np.int16), [vertices for vertices, _ in groups], pinned)
+    top = len(edges) * int(np.abs(matrix).max(initial=0))
+    dtype = np.int16 if top <= np.iinfo(np.int16).max else np.int32
+    columns, block = _landings(matrix.astype(dtype), [vertices for vertices, _ in groups], k, cache)
     tile = max(1, _TILE_SUMS // max(width, 1))
-    for order, cells in blocks:
+
+    def tiles(prefix):
+        order, cells = block(prefix)
         tables = [_group_table(cells, *group) for group in groups]
         for start in range(0, columns.shape[1], tile):
             tile_columns = columns[:, start : start + tile]
-            sums = np.zeros((tile_columns.shape[1], *cells.shape[2:]), dtype=np.int16)
+            sums = np.zeros((tile_columns.shape[1], *cells.shape[2:]), dtype=dtype)
             for table, column in zip(tables, tile_columns):
                 sums += table.take(column, axis=0)
             yield order, start, sums
+
+    return tiles
+
+
+def _sum_tiles(matrix: np.ndarray, edges, transitive: bool = False):
+    """Yield (order, start, sums) over the scan's walk, in walk order: the
+    blocks of _block_sums at the prefixes of _prefixes(n, transitive)."""
+    k, prefixes = _prefixes(matrix.shape[-1], transitive)
+    tiles = _block_sums(matrix, edges, k)
+    for prefix in prefixes:
+        yield from tiles(prefix)
+
+
+def best_completion(matrix: np.ndarray, edges):
+    """Return (k, best), best(prefix, floor) the best permutation extending a prefix.
+
+    matrix is (n, n), and each prefix is k = max(n - 8, 1) distinct
+    vertices. best scores the (n - k)! permutations p with p[:k] = prefix as
+    one block of _block_sums and returns (value, p), p a list, for the
+    first p in the block whose sum over edges (u, v) of matrix[p[u], p[v]]
+    is the block's maximum, or None when that maximum is not above floor.
+    """
+    k = max(matrix.shape[0] - _TABLE_N, 1)
+    table = _permutation_table(matrix.shape[0] - k)
+    tiles = _block_sums(matrix, edges, k, cache=True)
+
+    def best(prefix, floor):
+        # one matrix's block, at most 8! sums, is one tile
+        ((order, _, sums),) = tiles(prefix)
+        r = int(sums.argmax())
+        if sums[r] <= floor:
+            return None
+        return int(sums[r]), [*prefix, *order[k + table[:, r]].tolist()]
+
+    return k, best
 
 
 def code_columns(n: int, edges) -> np.ndarray:
@@ -230,8 +315,8 @@ def code_columns(n: int, edges) -> np.ndarray:
         raise ValueError(f"canonical codes need n <= {_TABLE_N}, got n={n}")
     rows, _, index = _pair_index(n)
     # each edge is its own group, its column a flat index into the n^2 pairs
-    columns, blocks = _landings(index, edges)
-    ((_, pairs),) = blocks
+    columns, block = _landings(index, edges, 0)
+    _, pairs = block(())
     return (1 << (rows.size - 1 - pairs.reshape(-1).take(columns))).T
 
 
@@ -265,8 +350,9 @@ def scan_sums(dist: np.ndarray, edges, transitive: bool = False):
     so the lexicographically first optimum lies in the slice.
     """
     n = dist.shape[0]
-    table = _permutation_table(min(n, _TABLE_N))
-    k = n - table.shape[0]
+    # the walk's prefix length and table, for the witnesses
+    k, _ = _prefixes(n, transitive)
+    table = _permutation_table(n - k)
     top = int(len(edges) * dist.max())
     counts = np.zeros(top + 1, dtype=np.int64)
     min_wit = np.zeros(n, dtype=np.int64)
@@ -299,10 +385,10 @@ def max_sums(dists: np.ndarray, edges, transitive: bool = False) -> np.ndarray:
     time, under a running maximum per graph; a vertex-transitive H
     (transitive, as in scan_sums) reads only the permutations with p[0] = 0.
     """
-    best = np.zeros(dists.shape[0], dtype=np.int16)
+    best = np.zeros(dists.shape[0], dtype=np.int64)
     for _, _, sums in _sum_tiles(dists, edges, transitive):
         np.maximum(best, sums.max(axis=0), out=best)
-    return best.astype(np.int64)
+    return best
 
 
 def edges_from_code(n: int, code: int) -> tuple[tuple[int, int], ...]:

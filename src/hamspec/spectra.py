@@ -174,16 +174,21 @@ def _vertex_transitive(h: Graph) -> bool:
 
 
 def _branch_and_bound(
-    h: Graph, g: Graph, sense: str, incumbent: int | None = None
+    h: Graph, g: Graph, sense: str, incumbent: int | None = None, blocks: bool = True
 ) -> tuple[int, tuple[int, ...]]:
-    """Exact extremal sum by depth-first assignment with admissible bounds.
+    """Exact extremal sum by a bound-pruned depth-first walk of kernel blocks.
 
     The minimum is the maximum over negated distances, so one search with
     one bound serves both senses: it maximizes sign * d for sign = +1 (max)
-    or -1 (min) and returns sign times the best value. H-vertices are placed
-    in descending degree order, and a partial assignment is pruned when its
-    bound cannot beat the incumbent strictly. The bound, on sign * d, is the
-    finished edges plus the smaller of two bounds on the remaining ones:
+    or -1 (min) and returns sign times the best value. H is relabelled by
+    the search order, descending degree, and a Python depth-first search
+    places its first k = max(n - 8, 1) vertices; each prefix that survives
+    the bound gets its (n - k)! completions scored as one block by the
+    take-and-add walk of the exhaustive scan (kernels.best_completion), and
+    the block's best raises the incumbent when it beats it. A partial
+    assignment is pruned when its bound cannot beat the incumbent strictly.
+    The bound, on sign * d, is the finished edges plus the smaller of two
+    bounds on the remaining ones:
 
     - each edge with one end u placed adds at most ecc_G(f(u)), and the
       edges with no end placed add at most the sum of that many largest
@@ -192,53 +197,64 @@ def _branch_and_bound(
     - all remaining edges together add at most the sum of that many largest
       distinct-pair distances.
 
-    Symmetries of H are broken on the first vertex x0: every orbit
-    {f . sigma : sigma in Aut(H)} has the same score and exactly one member
-    that maps x0 below every other vertex of x0's Aut(H)-orbit, so the other
-    orbit vertices only take G-vertices above f(x0). The witness is the first
-    optimum completed, which need not be the lexicographically smallest.
+    Symmetries of H are broken on the first vertex x0: every coset
+    {f . sigma : sigma in Aut(H)} has one score and a member that maps x0
+    below every other vertex of x0's Aut(H)-orbit O, so x0 only takes the
+    G-vertices 0..n - |O| and the other orbit vertices in the prefix only
+    take G-vertices above f(x0); orbit vertices inside a block are not
+    restricted, so the search reads a superset of those members. The
+    witness is mapped back to H's labels; it is the first optimum found,
+    an optimum but not necessarily the lexicographically smallest.
 
     An incumbent value starts the search as the best found so far, so only
     bijections strictly better than it are completed; when none is, the
-    result is (incumbent, ()).
+    result is (incumbent, ()). blocks=False places every vertex in Python,
+    k = n, so each edge is checked as soon as both its ends are placed.
     """
     n = g.n
     sign = 1 if sense == "max" else -1
-    dg = (sign * distance_matrix(g)).tolist()
+    dist = sign * distance_matrix(g)
+    dg = dist.tolist()
     ecc = [max(row) for row in dg]
     top = [0]
     for d in sorted((dg[a][b] for a in range(n) for b in range(a + 1, n)), reverse=True):
         top.append(top[-1] + d)
     h_adj = adjacency(h)
     order = sorted(range(n), key=lambda v: (-len(h_adj[v]), v))
-    position = {v: k for k, v in enumerate(order)}
-    placed_nbrs = [[u for u in h_adj[v] if position[u] < position[v]] for v in order]
-    later = [len(h_adj[v]) - len(placed_nbrs[k]) for k, v in enumerate(order)]
+    position = [0] * n
+    for depth, v in enumerate(order):
+        position[v] = depth
+    # H relabelled by the search order: vertex depth is H's order[depth]
+    edges = [(position[u], position[v]) for u, v in h.edges]
+    placed_nbrs = [[position[u] for u in h_adj[v] if position[u] < depth] for depth, v in enumerate(order)]
+    later = [len(h_adj[v]) - len(placed_nbrs[depth]) for depth, v in enumerate(order)]
     remaining = [0] * (n + 1)
     inner = [0] * (n + 1)
     for depth in range(n - 1, -1, -1):
         remaining[depth] = remaining[depth + 1] + len(placed_nbrs[depth])
         inner[depth] = inner[depth + 1] + later[depth]
-    orbit = _aut_orbit(h_adj, order[0])
-    in_orbit = [depth > 0 and v in orbit for depth, v in enumerate(order)]
-    # the cap added by placing order[depth] on gv: its edges to later vertices
-    opening = [[k * e for e in ecc] for k in later]
+    orbit = {position[v] for v in _aut_orbit(h_adj, order[0])}
+    in_orbit = [depth > 0 and depth in orbit for depth in range(n)]
+    # the cap added by placing vertex depth on gv: its edges to later vertices
+    opening = [[m * e for e in ecc] for m in later]
     zero_row = [0] * n
+    k, best = kernels.best_completion(dist, edges) if blocks else (n, None)
 
     fmap = [-1] * n
     used = [False] * n
     best_val = -math.inf if incumbent is None else sign * incumbent
-    best_wit: tuple[int, ...] = ()
+    best_wit: list[int] = []
 
     def search(depth: int, partial: int, cap: int) -> None:
         nonlocal best_val, best_wit
-        if depth == n:
-            best_val = partial
-            best_wit = tuple(fmap)
+        if depth == k:
+            if k == n:
+                best_val, best_wit = partial, fmap[:]
+            elif (found := best(fmap[:k], best_val)) is not None:
+                best_val, best_wit = found
             return
-        hv = order[depth]
         images = [fmap[u] for u in placed_nbrs[depth]]
-        # gains[gv]: what placing hv on gv adds to the finished edges
+        # gains[gv]: what placing vertex depth on gv adds to the finished edges
         if len(images) == 1:
             gains = dg[images[0]]
         else:
@@ -249,7 +265,11 @@ def _branch_and_bound(
         opened = opening[depth]
         inner_top = top[inner[depth + 1]]
         remaining_top = top[remaining[depth + 1]]
-        for gv in range(fmap[order[0]] + 1 if in_orbit[depth] else 0, n):
+        if depth == 0:
+            choices = range(n - len(orbit) + 1)
+        else:
+            choices = range(fmap[0] + 1 if in_orbit[depth] else 0, n)
+        for gv in choices:
             if used[gv]:
                 continue
             gained = partial + gains[gv]
@@ -260,13 +280,13 @@ def _branch_and_bound(
             if gained + bound <= best_val:
                 continue
             used[gv] = True
-            fmap[hv] = gv
+            fmap[depth] = gv
             search(depth + 1, gained, child_cap)
             used[gv] = False
-        fmap[hv] = -1
+        fmap[depth] = -1
 
     search(0, 0, 0)
-    return sign * best_val, best_wit
+    return sign * best_val, tuple(best_wit[position[v]] for v in range(n)) if best_wit else ()
 
 
 def extremal_number(
@@ -280,11 +300,13 @@ def extremal_number(
     method='exhaustive' reads the extreme and its witness (the
     lexicographically smallest) from spectrum(h, g), under its default cap;
     method='bnb' maximizes over distances negated for min, so both senses
-    run one depth-first search with one admissible bound (the smaller of an
+    run one search with one admissible bound (the smaller of an
     eccentricity-plus-distinct-pairs bound and a distinct-pairs bound) and
-    Aut(H)-orbit symmetry breaking, and returns the first optimal witness it
-    completes: an optimum, not necessarily the lexicographically smallest
-    (see _branch_and_bound).
+    Aut(H)-orbit symmetry breaking: a Python depth-first search places the
+    first k = max(n - 8, 1) H-vertices, and the kernel scores the (n - k)!
+    completions of each prefix that survives the bound as one block. It
+    returns the first optimal witness it finds: an optimum, not necessarily
+    the lexicographically smallest (see _branch_and_bound).
     """
     _check_same_order(h, g)
     if not is_connected(g):
@@ -337,14 +359,16 @@ def contains_subgraph(h: Graph, g: Graph) -> bool:
     Equivalent to the minimum sum hitting its floor |E(H)|: a bijection
     achieves distance exactly 1 on every H-edge iff it embeds H into G.
     The min-sense search starts from the incumbent |E(H)| + 1, so it only
-    completes a bijection at the floor: it backtracks on the first H-edge
-    that lands on a G-distance above 1 and stops at the first embedding.
-    No scan runs, so no cap applies.
+    completes a bijection at the floor. It places every vertex in Python
+    (blocks=False), so it backtracks on the first H-edge that lands on a
+    G-distance above 1 and stops at the first embedding; scoring kernel
+    blocks would read (n - k)! completions where this check reads one
+    placement. No scan runs, so no cap applies.
     """
     _check_same_order(h, g)
     _check_connected(g)
     floor = len(h.edges)
-    return _branch_and_bound(h, g, "min", incumbent=floor + 1)[0] == floor
+    return _branch_and_bound(h, g, "min", incumbent=floor + 1, blocks=False)[0] == floor
 
 
 def isomorphic_via_h(h: Graph, g: Graph) -> bool:

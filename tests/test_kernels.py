@@ -2,6 +2,7 @@
 brute force.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -88,21 +89,33 @@ def test_scan_sums_two_vertex_prefix():
     assert {s: int(c) for s, c in enumerate(counts) if c} == {165: math.factorial(10)}
 
 
-def _block_gather_scan(dist, edges):
-    """Reference scan for n >= 9: each lexicographic block as a whole
-    (8!, n) permutation array, every edge distance gathered from it."""
+def _gather_block(dist, edges, prefix):
+    """One block of the walk as a whole ((n - k)!, n) permutation array,
+    the prefix followed by the other vertices in lexicographic
+    arrangements, and each permutation's int64 sum gathered from it."""
+    n = dist.shape[0]
     hu = np.array([a for a, _ in edges], dtype=np.int64)
     hv = np.array([b for _, b in edges], dtype=np.int64)
+    rest = np.array([v for v in range(n) if v not in prefix], dtype=np.int64)
+    table = _lexicographic_rows(len(rest))
+    perms = np.hstack([np.tile(np.array(prefix, dtype=np.int64), (len(table), 1)), rest[table]])
+    return perms, dist[perms[:, hu], perms[:, hv]].astype(np.int64).sum(axis=1)
+
+
+@functools.lru_cache(maxsize=2)
+def _lexicographic_rows(m):
+    """The m! permutations of range(m), one int64 row each, in lexicographic order."""
+    return np.array(list(itertools.permutations(range(m))), dtype=np.int64).reshape(-1, m)
+
+
+def _block_gather_scan(dist, edges):
+    """Reference scan for n >= 9: each lexicographic block gathered whole."""
     n = dist.shape[0]
-    k = n - 8
-    table = np.array(list(itertools.permutations(range(8))), dtype=np.int64)
-    top = int(len(hu) * dist.max())
+    top = int(len(edges) * dist.max())
     counts = np.zeros(top + 1, dtype=np.int64)
     lo, hi = (top + 1, None), (-1, None)
-    for prefix in itertools.permutations(range(n), k):
-        rest = np.array([v for v in range(n) if v not in prefix], dtype=np.int64)
-        perms = np.hstack([np.tile(np.array(prefix, dtype=np.int64), (len(table), 1)), rest[table]])
-        sums = dist[perms[:, hu], perms[:, hv]].sum(axis=1)
+    for prefix in itertools.permutations(range(n), n - 8):
+        perms, sums = _gather_block(dist, edges, prefix)
         counts += np.bincount(sums, minlength=top + 1)
         i, j = int(sums.argmin()), int(sums.argmax())
         if sums[i] < lo[0]:
@@ -110,6 +123,51 @@ def _block_gather_scan(dist, edges):
         if sums[j] > hi[0]:
             hi = (int(sums[j]), tuple(perms[j]))
     return {s: int(c) for s, c in enumerate(counts) if c}, lo, hi
+
+
+def test_walk_reads_the_prefixes_it_is_given():
+    # the branch-and-bound hands the walk its surviving prefixes in search
+    # order; each block holds the sums of the matching block of the
+    # lexicographic walk, and best_completion reads its first maximum
+    rng = random.Random(91011)
+    for n in (9, 10):
+        dist = distance_matrix(random_connected_graph(n, rng))
+        edges = _random_h(rng, n, 2 * n)
+        k, _ = kernels._prefixes(n)
+        walk = {tuple(order[:k].tolist()): sums for order, _, sums in kernels._sum_tiles(dist, edges)}
+        assert list(walk) == list(itertools.permutations(range(n), k))
+        tiles = kernels._block_sums(dist, edges, k)
+        best_k, best = kernels.best_completion(dist, edges)
+        assert best_k == k
+        for prefix in rng.sample(list(walk), 8):
+            ((order, start, sums),) = tiles(prefix)
+            assert (start, tuple(order[:k].tolist())) == (0, prefix)
+            assert sums.tolist() == walk[prefix].tolist()
+            perms, want = _gather_block(dist, edges, prefix)
+            assert sums.tolist() == want.tolist()
+            value, p = best(prefix, -1)
+            assert (value, tuple(p)) == (want.max(), tuple(perms[want.argmax()].tolist()))
+            assert best(prefix, value) is None
+
+
+def test_block_sums_past_int16():
+    # K9's 36 edges on entries of 950 to 1000 sum to at least 34200, past
+    # the 32767 an int16 sum holds, so the block sums in int32
+    rng = np.random.default_rng(32768)
+    matrix = rng.integers(950, 1001, size=(9, 9))
+    edges = list(make_complete(9).edges)
+    for prefix in ((0,), (8,)):
+        perms, want = _gather_block(matrix, edges, prefix)
+        assert want.min() > np.iinfo(np.int16).max
+        ((_, _, sums),) = kernels._block_sums(matrix, edges, 1)(prefix)
+        assert sums.tolist() == want.tolist()
+        value, p = kernels.best_completion(matrix, edges)[1](prefix, -1)
+        assert value == sum(int(matrix[p[u], p[v]]) for u, v in edges) == want.max()
+    # the exhaustive scan reads the same walk
+    counts, lo, hi, mw, xw = kernels.scan_sums(matrix, edges)
+    assert lo == sum(int(matrix[mw[u], mw[v]]) for u, v in edges) > np.iinfo(np.int16).max
+    assert hi == sum(int(matrix[xw[u], xw[v]]) for u, v in edges)
+    assert counts.sum() == math.factorial(9)
 
 
 def test_scan_sums_prefix_to_prefix_edge():

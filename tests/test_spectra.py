@@ -283,12 +283,49 @@ def test_branch_and_bound_agrees_at_n9():
 def test_branch_and_bound_closed_forms_past_exhaustive_cap():
     # on the path G the maximum open-tour sum is floor(n^2/2) - 1 and the
     # maximum closed-tour sum floor(n^2/2); neither needs an n! scan to check
-    for n in (10, 11):
-        g = make_path(n)
-        for h, expected in ((make_path(n), n * n // 2 - 1), (make_cycle(n), n * n // 2)):
-            value, witness = extremal_number(h, g, "max", method="bnb")
-            assert value == expected
-            assert pseudo_sum(h, g, witness) == expected
+    cases = [(make_path(n), n * n // 2 - 1) for n in (10, 11)]
+    cases += [(make_cycle(n), n * n // 2) for n in (10, 11, 12)]
+    for h, expected in cases:
+        g = make_path(h.n)
+        value, witness = extremal_number(h, g, "max", method="bnb")
+        assert value == expected
+        assert pseudo_sum(h, g, witness) == expected
+
+
+def test_branch_and_bound_two_prefix_vertices():
+    # n = 10: the search places two H-vertices and scores the 8!
+    # completions of each surviving prefix as one kernel block
+    rng = random.Random(100210)
+    n = 10
+    shapes = [
+        make_path(n),
+        make_cycle(n),
+        build_graph(n, [(0, k) for k in range(1, n)]),
+        build_graph(n, [(0, 1), (1, 2), (0, 2)] + [(k, k + 1) for k in range(3, n - 1)]),
+        build_graph(n, list(RIGID_TREE.edges) + [(6, k) for k in range(7, n)]),
+        random_connected_graph(n, rng),
+        random_connected_graph(n, rng, extra_edges=n),
+    ]
+    for h in shapes:
+        g = random_connected_graph(n, rng)
+        _, lo, hi, _, _ = kernels.scan_sums(distance_matrix(g), h.edges)
+        for sense, expected in (("min", lo), ("max", hi)):
+            value, witness = extremal_number(h, g, sense, method="bnb")
+            assert value == expected, (h.edges, g.edges, sense)
+            assert pseudo_sum(h, g, witness) == value
+
+
+def test_branch_and_bound_first_vertex_reaches_the_last_label():
+    # x0 takes G-vertices 0..n - |Orb(x0)|. The star's centre is fixed by
+    # Aut(H), so it may take n - 1, and on the star G centred at n - 1 the
+    # minimum n - 1 needs exactly that; the maximum puts it on a leaf
+    for n in (5, 9, 10):
+        h = build_graph(n, [(0, k) for k in range(1, n)])
+        g = build_graph(n, [(n - 1, k) for k in range(n - 1)])
+        value, witness = extremal_number(h, g, "min", method="bnb")
+        assert (value, witness[0]) == (n - 1, n - 1)
+        assert pseudo_sum(h, g, witness) == value
+        assert extremal_number(h, g, "max", method="bnb")[0] == 1 + 2 * (n - 2)
 
 
 def test_classic_numbers_cycle():
