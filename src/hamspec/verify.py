@@ -49,7 +49,7 @@ def _connected_classes(n: int) -> tuple[Graph, ...]:
     codes = np.empty((1 << (n - 1), attach.shape[1]), dtype=np.int64)
     seen = set()
     for base in _connected_classes(n - 1):
-        codes[0] = kernels.code_columns(n, base.edges).sum(axis=1)
+        kernels.code_sums(n, base.edges, out=codes[0])
         for v in range(n - 1):
             np.add(codes[: 1 << v], attach[v], out=codes[1 << v : 2 << v])
         # mask 0 leaves the new vertex isolated

@@ -362,10 +362,25 @@ def test_edges_from_code_round_trip():
         assert len(rebuilt) == len(edges)
 
 
+def test_code_sums_match_code_columns():
+    rng = random.Random(4242)
+    out = np.full(math.factorial(8), -1, dtype=np.int64)
+    for n in (2, 5, 7, 8):
+        for _ in range(4):
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+            expected = kernels.code_columns(n, edges).sum(axis=1)
+            assert kernels.code_sums(n, edges).tolist() == expected.tolist()
+            row = out[: math.factorial(n)]
+            assert kernels.code_sums(n, edges, out=row) is row
+            assert row.tolist() == expected.tolist()
+
+
 def test_canonical_code_size_guard():
     # codes come from the cached 8! table only
     with pytest.raises(ValueError, match="n <= 8"):
         kernels.code_columns(9, make_path(9).edges)
+    with pytest.raises(ValueError, match="n <= 8"):
+        kernels.code_sums(9, make_path(9).edges)
 
 
 def _connected_stack(rng, n, k):
