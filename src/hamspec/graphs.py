@@ -2,7 +2,7 @@
 
 Graphs are immutable records over vertex set {0, ..., n-1}. Everything else
 in the package (spectra, surgery, verification) builds on the helpers here:
-BFS distances, shape classification, unique tree paths and spanning trees.
+BFS distances, shape classification and spanning trees.
 Data derived from a graph (its neighbour lists, distance matrix and graph6
 text) is computed once and lives on the graph object, so it goes when the
 graph goes.
@@ -40,9 +40,6 @@ class Graph:
 
     n: int
     edges: tuple[tuple[int, int], ...]
-
-    def edge_count(self) -> int:
-        return len(self.edges)
 
     # cached_property writes the instance __dict__ directly, which a frozen
     # dataclass allows; equality and hashing still read only n and edges
@@ -184,24 +181,6 @@ def classify_shape(g: Graph) -> str:
     if ones == 2 and ones + twos == g.n:
         return "path"
     return "other"
-
-
-def tree_path(t: Graph, a: int, b: int) -> tuple[int, ...]:
-    """The unique path between two vertices of a tree, endpoints included."""
-    in_range = 0 <= a < t.n and 0 <= b < t.n
-    adj = adjacency(t)
-    # one BFS serves the tree check and the walk back from b
-    dist = _bfs(adj, a if in_range else 0)
-    if len(t.edges) != t.n - 1 or -1 in dist:
-        raise GraphError("tree_path requires a tree")
-    if not in_range:
-        raise GraphError(f"vertices ({a}, {b}) out of range for n={t.n}")
-    path = [b]
-    while path[-1] != a:
-        v = path[-1]
-        # in a tree exactly one neighbour lies one level closer to a
-        path.append(next(w for w in adj[v] if dist[w] < dist[v]))
-    return tuple(reversed(path))
 
 
 def non_articulation_vertex(g: Graph) -> int:

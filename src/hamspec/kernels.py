@@ -1,27 +1,27 @@
 """Hot loops over all n! vertex bijections, as numpy takes from small tables.
 
 Every kernel asks one question of each permutation p: which positions
-p[u] do the vertices u of H land on? _landings answers it, for one square
-matrix or a stack of them, over the cached lexicographic table of
-permutations, built once per n <= 8 and held as one uint8 position per
-vertex and permutation (0.3 MB at n = 8), one block per prefix: a prefix
-of k fixed vertices followed by the remaining vertices arranged by the
-(n - k)! table, so no table past 8! is ever built. The walk reads the
-prefixes it is given. The scans give it the lexicographic k-permutations
-for k = max(n - 8, 0) (_prefixes), which come in global lexicographic
-order, so the first permutation attaining an extreme is the
-lexicographically smallest one, and for n <= 8 the one block is the table
-itself. The branch-and-bound in spectra.py gives it the prefixes that
-survive its bound, one at a time. Each block reorders the matrix, or each
-matrix of a stack, by its vertex order once, and the walk reads a group of
-H-vertices as one uint16 column per permutation, the mixed-radix number of
-the group's positions, built once per walk (_columns).
+p[u] do the vertices u of H land on? The cached lexicographic table of
+permutations answers it, built once per n <= 8 and held as one uint8
+position per vertex and permutation (0.3 MB at n = 8).
 
-Four kernels read that one walk:
+Three kernels read it through one walk, _block_sums, for one square
+matrix or a stack of them, one block per prefix: a prefix of k fixed
+vertices followed by the remaining vertices arranged by the (n - k)!
+table, so no table past 8! is ever built. The walk reads the prefixes it
+is given. The scans give it the lexicographic k-permutations for
+k = max(n - 8, 0) (_prefixes), which come in global lexicographic order,
+so the first permutation attaining an extreme is the lexicographically
+smallest one, and for n <= 8 the one block is the table itself. The
+branch-and-bound in spectra.py gives it the prefixes that survive its
+bound, one at a time. Each block reorders the matrix, or each matrix of a
+stack, by its vertex order once, and the walk reads a group of H-vertices
+as one uint16 column per permutation, the mixed-radix number of the
+group's positions, built once per walk (_columns).
 
 - scan_sums and max_sums add int16 sums, one per permutation and graph,
-  through _block_sums, which holds at most 2^17 sums at a time; past
-  32767, |E(H)| times the largest |entry|, the sums are int32. It covers
+  and the walk holds at most 2^17 sums at a time; past 32767, |E(H)|
+  times the largest |entry|, the sums are int32. It covers
   H's edges by groups of up to s vertices (_cover, one greedy pass) and
   reads each group's edges with one take from the group's table: the
   n^s entries, one per placement of the group, of the block's matrix
@@ -53,14 +53,14 @@ Four kernels read that one walk:
   of the benchmark pool takes about 3.5 ms per call in the median and
   0.15 s in all (2.0 s when the search placed every vertex in Python). It
   caches the columns of its last 16 H (_cached_columns).
-- code_columns reads each edge as its own group, the index of each
-  position pair as the table, and turns each landing into the code bit of
-  its pair, for n <= 8 only: a graph's code under every ordering is the
-  sum of its edges' columns, and the minimum is its canonical code. The
-  class enumeration in verify.py extends one base graph to all its
-  one-vertex extensions by subset sums of those columns, each base's code
-  summed one edge at a time by code_sums; it takes about 0.055 s for the
-  853 classes at n = 7 and about 16-18 s for the 11117 at n = 8.
+
+code_sums reads the table directly, for n <= 8 only: each edge adds one
+take of the code bits of the position pairs it lands on, so a graph's code
+under every ordering is one row of n! sums, and the minimum is its
+canonical code. The class enumeration in verify.py extends one base graph
+to all its one-vertex extensions by subset sums of the rows of the n - 1
+edges that can attach the new vertex; it takes about 0.055 s for the 853
+classes at n = 7 and about 16-18 s for the 11117 at n = 8.
 
 Timings are Python 3.11, numpy 2.4, one core of a 2-core Xeon; scans are
 the best of 15 calls (5 at n = 10) on a tree plus three chords, blocks
@@ -141,33 +141,6 @@ def _columns(n: int, k: int, groups: tuple[tuple[int, ...], ...]) -> np.ndarray:
 _cached_columns = lru_cache(maxsize=16)(_columns)
 
 
-def _landings(matrix: np.ndarray, groups, k: int, cache: bool = False):
-    """Return (columns, block) for the permutations p that extend a prefix of k vertices.
-
-    matrix is one (n, n) matrix or a (w, n, n) stack of them, and groups is
-    a sequence of H-vertex tuples; columns is _columns(n, k, groups), from
-    _cached_columns when cache is set. block(prefix), for a prefix of k
-    distinct vertices, returns (order, cells): order is the prefix followed
-    by the other vertices in ascending order, and the block maps each
-    vertex u to order[pos[u]], pos[u] being u's position (see _columns), so
-    vertex u < k lands on prefix[u]. cells is matrix reordered by order,
-    (n, n) or, for a stack, (n, n, w) with the stack axis last. The columns
-    do not depend on the prefix, so a walk reads any prefixes it is given,
-    in any order, against one set of columns.
-    """
-    n = matrix.shape[-1]
-    columns = (_cached_columns if cache else _columns)(n, k, tuple(map(tuple, groups)))
-    # position pairs first, the stack axis last
-    cells = np.moveaxis(matrix, 0, -1) if matrix.ndim == 3 else matrix
-
-    def block(prefix):
-        # not np.setdiff1d: its first call alone adds about 1.7 MB of RSS
-        order = np.array([*prefix, *[v for v in range(n) if v not in prefix]], dtype=np.int64)
-        return order, cells[np.ix_(order, order)]
-
-    return columns, block
-
-
 # the sums _block_sums holds at a time (256 KB as int16), and the most entries
 # a table of three or more H-vertices may hold. One matrix's block, at most
 # 8! sums, is one tile; a stack of w matrices is walked 2^17 // w
@@ -237,29 +210,44 @@ def _group_table(cells: np.ndarray, vertices, edges) -> np.ndarray:
 def _block_sums(matrix: np.ndarray, edges, k: int, cache: bool = False):
     """Return tiles(prefix), which yields (order, start, sums) over one block.
 
-    The block is the permutations p extending a prefix of k vertices (see
-    _landings). sums[r] holds, for the permutation p at row start + r of
-    the block's table, the sum over edges (u, v) of matrix[..., p[u], p[v]]:
-    one per permutation, or a row of w for a stack. The edges, pairs of
-    distinct vertices, are covered by groups of up to _group_size vertices,
-    and each group adds one take from its table. The sums are int16 while
-    |edges| times the largest |entry| bounds them by 32767, which holds for
-    any distance matrix at n <= 16 (C(n, 2) * (n - 1) <= 1800), and int32
-    past that.
+    matrix is one (n, n) matrix or a (w, n, n) stack of them, and the block
+    is the permutations p extending a prefix of k distinct vertices: order
+    is the prefix followed by the other vertices in ascending order, and p
+    maps each vertex u to order[pos[u]], pos[u] being u's position (see
+    _columns), so vertex u < k lands on prefix[u]. sums[r] holds, for the
+    permutation p at row start + r of the block's table, the sum over edges
+    (u, v) of matrix[..., p[u], p[v]]: one per permutation, or a row of w
+    for a stack. The edges, pairs of distinct vertices, are covered by
+    groups of up to _group_size vertices, and each group adds one take from
+    its table at its row of _columns(n, k, groups), from _cached_columns
+    when cache is set. The columns do not depend on the prefix, so a walk
+    reads any prefixes it is given, in any order, against one set of
+    columns. The sums are int16 while |edges| times the largest |entry|
+    bounds them by 32767, which holds for any distance matrix at n <= 16
+    (C(n, 2) * (n - 1) <= 1800), and int32 past that.
     """
+    n = matrix.shape[-1]
     width = math.prod(matrix.shape[:-2])
-    groups = _cover(edges, _group_size(matrix.shape[-1], width))
+    groups = _cover(edges, _group_size(n, width))
     top = len(edges) * int(np.abs(matrix).max(initial=0))
     dtype = np.int16 if top <= np.iinfo(np.int16).max else np.int32
-    columns, block = _landings(matrix.astype(dtype), [vertices for vertices, _ in groups], k, cache)
+    columns = (_cached_columns if cache else _columns)(
+        n, k, tuple(tuple(vertices) for vertices, _ in groups)
+    )
+    # position pairs first, the stack axis last
+    cells = matrix.astype(dtype)
+    if cells.ndim == 3:
+        cells = np.moveaxis(cells, 0, -1)
     tile = max(1, _TILE_SUMS // max(width, 1))
 
     def tiles(prefix):
-        order, cells = block(prefix)
-        tables = [_group_table(cells, *group) for group in groups]
+        # not np.setdiff1d: its first call alone adds about 1.7 MB of RSS
+        order = np.array([*prefix, *[v for v in range(n) if v not in prefix]], dtype=np.int64)
+        block = cells[np.ix_(order, order)]
+        tables = [_group_table(block, *group) for group in groups]
         for start in range(0, columns.shape[1], tile):
             tile_columns = columns[:, start : start + tile]
-            sums = np.zeros((tile_columns.shape[1], *cells.shape[2:]), dtype=dtype)
+            sums = np.zeros((tile_columns.shape[1], *block.shape[2:]), dtype=dtype)
             for table, column in zip(tables, tile_columns):
                 sums += table.take(column, axis=0)
             yield order, start, sums
@@ -300,36 +288,20 @@ def best_completion(matrix: np.ndarray, edges):
     return k, best
 
 
-def code_columns(n: int, edges) -> np.ndarray:
-    """Canonical-code weight of each edge under every ordering, for n <= 8.
-
-    Row r reads permutation r of the lexicographic table as the map vertex ->
-    position, and entry (r, e) is the bit that edge e sets in the code of
-    that ordering: bit m - 1 - i for the i-th position pair it lands on, the
-    first pair of the upper triangle being the most significant bit. A
-    graph's code under ordering r is the sum of its edges' entries in row r;
-    the minimum over all n! rows is its canonical code, and the number of
-    rows attaining it is its automorphism count.
-    """
-    if n > _TABLE_N:
-        raise ValueError(f"canonical codes need n <= {_TABLE_N}, got n={n}")
-    rows, _, index = _pair_index(n)
-    # each edge is its own group, its column a flat index into the n^2 pairs
-    columns, block = _landings(index, edges, 0)
-    _, pairs = block(())
-    return (1 << (rows.size - 1 - pairs.reshape(-1).take(columns))).T
-
-
 def code_sums(n: int, edges, out: np.ndarray | None = None) -> np.ndarray:
-    """A graph's code under every ordering: code_columns(n, edges).sum(axis=1).
+    """A graph's code under every ordering of the lexicographic table, for n <= 8.
 
-    Each edge adds one take of the n^2 pair bits at its positions, so no
-    temporary holds more than one row of n! entries. The (n!, |edges|)
-    arrays of code_columns, 0.1-0.8 MB per graph at n = 7, sit above
-    malloc's mmap threshold, and mapping them afresh for each of the 112
-    six-vertex bases of the n = 7 enumeration cost about 10000 page faults,
-    a fifth of its time. out, an int64 row of n! entries, receives the
-    codes.
+    Entry r reads permutation r of the table as the map vertex -> position
+    and sums, over the edges, the bit each edge sets in the code of that
+    ordering: bit m - 1 - i for the i-th position pair it lands on, the
+    first pair of the upper triangle being the most significant bit. The
+    minimum over all n! entries is the graph's canonical code, and the
+    number of entries attaining it is its automorphism count. Each edge
+    adds one take of the n^2 pair bits at its positions, so no temporary
+    holds more than one row of n! entries: an (n!, |edges|) array of the
+    bits, 0.1-0.8 MB per graph at n = 7, sits above malloc's mmap
+    threshold and cost the n = 7 enumeration about 10000 page faults, a
+    fifth of its time. out, an int64 row of n! entries, receives the codes.
     """
     if n > _TABLE_N:
         raise ValueError(f"canonical codes need n <= {_TABLE_N}, got n={n}")
@@ -421,7 +393,7 @@ def max_sums(dists: np.ndarray, edges, transitive: bool = False) -> np.ndarray:
 def edges_from_code(n: int, code: int) -> tuple[tuple[int, int], ...]:
     """Invert the canonical bit packing back into an edge tuple.
 
-    Pair k of _pair_index(n) is bit m - 1 - k of the code, as code_columns
+    Pair k of _pair_index(n) is bit m - 1 - k of the code, as code_sums
     packs it.
     """
     rows, cols, _ = _pair_index(n)

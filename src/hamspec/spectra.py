@@ -12,6 +12,7 @@ G must be connected so distances are finite; H may be disconnected.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,14 +48,20 @@ def _check_same_order(h: Graph, g: Graph) -> None:
 
 def _check_connected(g: Graph) -> None:
     if not is_connected(g):
-        raise GraphError("spectrum needs a connected G")
+        raise GraphError("a distance sum needs a connected G")
 
 
 def _check_bijection(f, n: int) -> tuple[int, ...]:
+    """f as a tuple of ints, each entry read by operator.index, so numpy
+    integers become ints and floats are refused."""
     f = tuple(f)
-    if sorted(f) != list(range(n)):
+    try:
+        ints = tuple(map(operator.index, f))
+    except TypeError:
+        raise GraphError(f"{f!r} is not a bijection on range({n})") from None
+    if sorted(ints) != list(range(n)):
         raise GraphError(f"{f!r} is not a bijection on range({n})")
-    return f
+    return ints
 
 
 def pseudo_sum(h: Graph, g: Graph, f) -> int:
@@ -309,8 +316,7 @@ def extremal_number(
     the lexicographically smallest (see _branch_and_bound).
     """
     _check_same_order(h, g)
-    if not is_connected(g):
-        raise GraphError("extremal numbers need a connected G")
+    _check_connected(g)
     if sense not in ("min", "max"):
         raise GraphError(f"sense must be 'min' or 'max', got {sense!r}")
     if method == "bnb":

@@ -44,8 +44,9 @@ def _connected_classes(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1, ()),)
     # code of base + attachment mask under every ordering, built by subset
-    # sums: codes[mask | 1 << v] = codes[mask] + attach[v] for mask < 1 << v
-    attach = kernels.code_columns(n, [(v, n - 1) for v in range(n - 1)]).T.copy()
+    # sums: codes[mask | 1 << v] = codes[mask] + attach[v] for mask < 1 << v,
+    # attach[v] the codes of the one edge (v, n - 1)
+    attach = np.stack([kernels.code_sums(n, [(v, n - 1)]) for v in range(n - 1)])
     codes = np.empty((1 << (n - 1), attach.shape[1]), dtype=np.int64)
     seen = set()
     for base in _connected_classes(n - 1):

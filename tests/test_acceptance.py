@@ -9,14 +9,13 @@ import math
 import random
 import time
 
-from generate import random_bijection, random_connected_graph, random_tree
+from generate import random_bijection, random_connected_graph, random_tree, tree_path
 from hamspec.graphs import (
     build_graph,
     classify_shape,
     distance_matrix,
     leaves,
     make_path,
-    tree_path,
 )
 from hamspec.spectra import contains_subgraph, extremal_number, isomorphic_via_h, pseudo_sum
 from hamspec.surgery import (

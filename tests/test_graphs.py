@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generate import random_connected_graph, random_tree
+from generate import random_connected_graph, random_tree, tree_path
 from hamspec.graphs import (
     FormatError,
     _spanning_tree_iter,
@@ -28,7 +28,6 @@ from hamspec.graphs import (
     non_articulation_vertex,
     parse_graph,
     render_graph,
-    tree_path,
 )
 from hamspec.verify import enumerate_connected_graphs
 
@@ -47,7 +46,7 @@ def test_build_graph_normalizes():
     g = build_graph(4, [(2, 0), (0, 2), (1, 3)])
     assert g.edges == ((0, 2), (1, 3))
     assert g.n == 4
-    assert g.edge_count() == 2
+    assert len(g.edges) == 2
 
 
 def test_build_graph_rejects_bad_input():
@@ -73,7 +72,7 @@ def test_standard_families():
     assert make_path(1) == Graph(1, ())
     assert make_path(4).edges == ((0, 1), (1, 2), (2, 3))
     assert make_cycle(3).edges == ((0, 1), (0, 2), (1, 2))
-    assert make_complete(4).edge_count() == 6
+    assert len(make_complete(4).edges) == 6
     with pytest.raises(GraphError):
         make_cycle(2)
     with pytest.raises(GraphError):

@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from generate import random_connected_graph
+from generate import bit_code, canonical_code, random_connected_graph
 from hamspec import kernels
 from hamspec.graphs import build_graph, distance_matrix, make_complete, make_cycle, make_path
 from hamspec.spectra import _branch_and_bound, _vertex_transitive, pseudo_sum, spectrum
@@ -286,14 +286,6 @@ def test_scan_sums_single_vertex():
     assert (lo, hi) == (0, 0)
 
 
-def _canonical_code(n, edges):
-    """Canonical code (the minimum code_columns sum over all orderings) and
-    the number of orderings attaining it."""
-    codes = kernels.code_columns(n, edges).sum(axis=1)
-    best = int(codes.min())
-    return best, int((codes == best).sum())
-
-
 def test_canonical_code_is_isomorphism_invariant():
     rng = random.Random(31337)
     for _ in range(20):
@@ -302,8 +294,8 @@ def test_canonical_code_is_isomorphism_invariant():
         perm = list(range(n))
         rng.shuffle(perm)
         relabeled = [(perm[a], perm[b]) for a, b in edges]
-        code_a, aut_a = _canonical_code(n, edges)
-        code_b, aut_b = _canonical_code(n, relabeled)
+        code_a, aut_a = canonical_code(n, edges)
+        code_b, aut_b = canonical_code(n, relabeled)
         assert code_a == code_b
         assert aut_a == aut_b
 
@@ -317,7 +309,7 @@ def test_automorphism_counts():
         (build_graph(1, []), 1),
     ]
     for g, expected in cases:
-        _, aut = _canonical_code(g.n, g.edges)
+        _, aut = canonical_code(g.n, g.edges)
         assert aut == expected, g
 
 
@@ -346,7 +338,7 @@ def test_canonical_code_matches_brute_force():
         graphs += [[p for p in pairs if rng.random() < density] for density in (0.3, 0.6)]
         for edges in graphs:
             want = _brute_force_canonical(n, edges)
-            got = _canonical_code(n, edges)
+            got = canonical_code(n, edges)
             assert got == want, (n, edges)
 
 
@@ -355,30 +347,34 @@ def test_edges_from_code_round_trip():
     for _ in range(20):
         n = rng.randint(1, 7)
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
-        code, _ = _canonical_code(n, edges)
+        code, _ = canonical_code(n, edges)
         rebuilt = kernels.edges_from_code(n, code)
-        rebuilt_code, _ = _canonical_code(n, rebuilt)
+        rebuilt_code, _ = canonical_code(n, rebuilt)
         assert rebuilt_code == code
         assert len(rebuilt) == len(edges)
 
 
-def test_code_sums_match_code_columns():
+def test_code_sums_match_bit_codes():
+    # entry r reads permutation r as vertex -> position and bit_code reads
+    # its ordering as position -> vertex, so entry r is the bit code of the
+    # inverse of permutation r
     rng = random.Random(4242)
     out = np.full(math.factorial(8), -1, dtype=np.int64)
     for n in (2, 5, 7, 8):
         for _ in range(4):
             edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
-            expected = kernels.code_columns(n, edges).sum(axis=1)
-            assert kernels.code_sums(n, edges).tolist() == expected.tolist()
+            expected = [
+                bit_code(n, edges, sorted(range(n), key=perm.__getitem__))
+                for perm in itertools.permutations(range(n))
+            ]
+            assert kernels.code_sums(n, edges).tolist() == expected, (n, edges)
             row = out[: math.factorial(n)]
             assert kernels.code_sums(n, edges, out=row) is row
-            assert row.tolist() == expected.tolist()
+            assert row.tolist() == expected
 
 
 def test_canonical_code_size_guard():
     # codes come from the cached 8! table only
-    with pytest.raises(ValueError, match="n <= 8"):
-        kernels.code_columns(9, make_path(9).edges)
     with pytest.raises(ValueError, match="n <= 8"):
         kernels.code_sums(9, make_path(9).edges)
 

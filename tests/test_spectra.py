@@ -56,6 +56,13 @@ def test_pseudo_sum_validation():
         pseudo_sum(make_path(4), make_path(4), (0, 1, 2))
 
 
+def test_pseudo_sum_reads_entries_as_ints():
+    p2 = make_path(2)
+    # a float is no vertex, even when it equals one
+    with pytest.raises(GraphError, match="not a bijection"):
+        pseudo_sum(p2, p2, [0.0, 1.0])
+
+
 def test_tour_sums_small_cases():
     # a tour sum is the pseudo sum of the path (open) or the cycle (closed)
     p4 = make_path(4)

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hamspec
-from generate import random_bijection, random_connected_graph, random_tree
+from generate import random_bijection, random_connected_graph, random_tree, tree_path
 from hamspec import graphs, surgery
 from hamspec.graphs import (
     GraphError,
@@ -30,7 +30,6 @@ from hamspec.graphs import (
     make_cycle,
     make_path,
     render_graph,
-    tree_path,
 )
 from hamspec.spectra import extremal_number, pseudo_sum
 from hamspec.surgery import (
@@ -666,3 +665,12 @@ def test_trace_serialization():
     assert "step 1:" in text
     assert f"sum {trace.final_sum}" in text.splitlines()[-1]
     assert "step 1:" not in format_trace(trace, steps=False)
+
+
+def test_trace_of_a_numpy_bijection_serializes():
+    # each entry of f is read as an int, so a trace started from a numpy
+    # array holds ints and dumps to the same JSON as one from a tuple
+    h = build_graph(7, [(2, 6), (5, 6), (0, 1), (1, 2), (0, 3), (3, 4)])
+    trace = pathify(SPIDER, h, np.arange(7))
+    assert [type(x) for x in trace.f] == [int] * 7
+    assert json.dumps(trace_to_dict(trace)) == json.dumps(trace_to_dict(pathify(SPIDER, h, tuple(range(7)))))

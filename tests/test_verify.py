@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from generate import bit_code, canonical_code
 from hamspec import kernels
 from hamspec import verify as verify_mod
 from hamspec.graphs import (
@@ -53,16 +54,6 @@ def _labeled_connected_counts(n_max):
     return counts[1:]
 
 
-def _bit_code(n, edges, perm):
-    """Adjacency bit code of the ordering perm (position -> vertex): the
-    upper triangle row by row, first pair in the most significant bit."""
-    edge_set = {frozenset(e) for e in edges}
-    code = 0
-    for i, j in itertools.combinations(range(n), 2):
-        code = code << 1 | (frozenset((perm[i], perm[j])) in edge_set)
-    return code
-
-
 def _brute_force_classes(n):
     """Minimum bit codes of the connected isomorphism classes, by scanning
     every edge subset and minimizing over every ordering in pure python (no
@@ -73,16 +64,8 @@ def _brute_force_classes(n):
     for mask in range(1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
         if is_connected(build_graph(n, edges)):
-            codes.add(min(_bit_code(n, edges, p) for p in perms))
+            codes.add(min(bit_code(n, edges, p) for p in perms))
     return codes
-
-
-def _canonical_code(n, edges):
-    """Canonical code (the minimum code_columns sum over all orderings) and
-    the number of orderings attaining it."""
-    codes = kernels.code_columns(n, edges).sum(axis=1)
-    best = int(codes.min())
-    return best, int((codes == best).sum())
 
 
 def test_enumeration_counts_match_brute_force():
@@ -90,7 +73,7 @@ def test_enumeration_counts_match_brute_force():
     # codes are read off with the identity ordering
     for n in range(1, 6):
         identity = tuple(range(n))
-        got = {_bit_code(n, g.edges, identity) for g in enumerate_connected_graphs(n)}
+        got = {bit_code(n, g.edges, identity) for g in enumerate_connected_graphs(n)}
         assert got == _brute_force_classes(n), n
 
 
@@ -104,7 +87,7 @@ def test_enumeration_cross_checks_labeled_counts():
     for n in range(1, 8):
         total = 0
         for g in enumerate_connected_graphs(n):
-            _, aut = _canonical_code(g.n, g.edges)
+            _, aut = canonical_code(g.n, g.edges)
             total += math.factorial(n) // aut
         assert total == LABELED_COUNTS[n - 1], n
 
@@ -113,7 +96,7 @@ def test_enumeration_representatives_are_canonical():
     for n in range(1, 7):
         for g in enumerate_connected_graphs(n):
             assert is_connected(g)
-            code, _ = _canonical_code(g.n, g.edges)
+            code, _ = canonical_code(g.n, g.edges)
             assert kernels.edges_from_code(n, code) == g.edges
 
 
@@ -121,7 +104,7 @@ def test_enumeration_is_deterministic_and_sorted():
     graphs = enumerate_connected_graphs(6)
     assert graphs == enumerate_connected_graphs(6)
     codes = [
-        _canonical_code(g.n, g.edges)[0]
+        canonical_code(g.n, g.edges)[0]
         for g in graphs
     ]
     assert codes == sorted(codes)
