@@ -14,10 +14,13 @@ k = max(n - 8, 0) (_prefixes), which come in global lexicographic order,
 so the first permutation attaining an extreme is the lexicographically
 smallest one, and for n <= 8 the one block is the table itself. The
 branch-and-bound in spectra.py gives it the prefixes that survive its
-bound, one at a time. Each block reorders the matrix, or each matrix of a
-stack, by its vertex order once, and the walk reads a group of H-vertices
-as one uint16 column per permutation, the mixed-radix number of the
-group's positions, built once per walk (_columns).
+bound, one at a time. The walk reads a group of H-vertices as one uint16
+column per permutation, the mixed-radix number of the group's positions,
+and the group's table of matrix entries over the matrix's own labels;
+both are built once per walk (_columns, _group_table). Each block reads
+each table in its vertex order, one take per table axis, just before the
+table's take at its column, and reads it as it is when that order is the
+identity, as for every scan at n <= 8.
 
 - scan_sums and max_sums add int16 sums, one per permutation and graph,
   and the walk holds at most 2^17 sums at a time; past 32767, |E(H)|
@@ -47,20 +50,26 @@ group's positions, built once per walk (_columns).
 - best_completion scores the (n - k)! completions of one prefix, for
   k = max(n - 8, 1), as one block and returns the block's first maximum.
   The branch-and-bound places the first k H-vertices in Python and calls
-  it at each prefix that survives its bound: a block takes about 0.33 ms
-  at n = 9, 0.4-0.5 ms at n = 10 and 0.5-0.55 ms at n = 12 for a path or
-  cycle H. A whole search over the 21 stored 9- and 10-vertex instances
-  of the benchmark pool takes about 3.5 ms per call in the median and
-  0.15 s in all (2.0 s when the search placed every vertex in Python). It
-  caches the columns of its last 16 H (_cached_columns).
+  it at each prefix that survives its bound, with mate set when an orbit
+  mate of H's first vertex comes next, so that only the block's tail past
+  the mirrored completions is scored. For a path or cycle H a whole block
+  takes about 0.15-0.19 ms at n = 9, 0.17-0.27 ms at n = 10 and
+  0.25-0.42 ms at n = 12, and a mate tail 0.09-0.11, 0.10-0.16 and
+  0.13-0.23 ms (whole blocks took 0.19-0.33, 0.20-0.41 and 0.28-0.55 ms
+  when each block rebuilt its group tables). A whole search over the 21
+  stored 9- and 10-vertex instances of the benchmark pool takes about
+  1.1 ms per call in the median and 54 ms in all (1.6 ms and 64 ms with
+  rebuilt tables and no tails, in the same session; 2.0 s in all when the
+  search placed every vertex in Python). It caches the columns of its
+  last 16 H (_cached_columns).
 
 code_sums reads the table directly, for n <= 8 only: each edge adds one
 take of the code bits of the position pairs it lands on, so a graph's code
 under every ordering is one row of n! sums, and the minimum is its
 canonical code. The class enumeration in verify.py extends one base graph
 to all its one-vertex extensions by subset sums of the rows of the n - 1
-edges that can attach the new vertex; it takes about 0.055 s for the 853
-classes at n = 7 and about 16-18 s for the 11117 at n = 8.
+edges that can attach the new vertex; it takes about 0.04-0.05 s for the
+853 classes at n = 7 and about 3.2-3.5 s for the 11117 at n = 8.
 
 Timings are Python 3.11, numpy 2.4, one core of a 2-core Xeon; scans are
 the best of 15 calls (5 at n = 10) on a tree plus three chords, blocks
@@ -185,18 +194,18 @@ def _cover(edges, size: int) -> list[tuple[list[int], list[tuple[int, int]]]]:
 
 
 def _group_table(cells: np.ndarray, vertices, edges) -> np.ndarray:
-    """The flattened n^len table of one group over a block's cells.
+    """The n^len table of one group over cells, one axis per vertex.
 
-    Entry (a_0, ..., a_len-1), one axis per vertex in group order, is the
-    sum over the group's edges (u, v) of cells[a_i, a_j], u and v being the
-    group's i-th and j-th vertex: each edge's cells broadcast on its two
-    axes, the stack axis staying last. A group of one edge holds its two
-    ends in edge order, so its table is cells itself, not a copy.
+    Entry (a_0, ..., a_len-1), in group order, is the sum over the group's
+    edges (u, v) of cells[a_i, a_j], u and v being the group's i-th and
+    j-th vertex: each edge's cells broadcast on its two axes, the stack
+    axis staying last. A group of one edge holds its two ends in edge
+    order, so its table is cells itself, not a copy.
     """
     n = cells.shape[0]
     rest = cells.shape[2:]
     if len(edges) == 1:
-        return cells.reshape(n * n, *rest)
+        return cells
     axis = {v: i for i, v in enumerate(vertices)}
     table = np.zeros((n,) * len(vertices) + rest, dtype=cells.dtype)
     for u, v in edges:
@@ -204,11 +213,11 @@ def _group_table(cells: np.ndarray, vertices, edges) -> np.ndarray:
         shape = [1] * len(vertices)
         shape[i] = shape[j] = n
         table += (cells if i < j else cells.swapaxes(0, 1)).reshape(*shape, *rest)
-    return table.reshape(-1, *rest)
+    return table
 
 
 def _block_sums(matrix: np.ndarray, edges, k: int, cache: bool = False):
-    """Return tiles(prefix), which yields (order, start, sums) over one block.
+    """Return tiles(prefix, first=0), which yields (order, start, sums) over one block.
 
     matrix is one (n, n) matrix or a (w, n, n) stack of them, and the block
     is the permutations p extending a prefix of k distinct vertices: order
@@ -217,14 +226,25 @@ def _block_sums(matrix: np.ndarray, edges, k: int, cache: bool = False):
     _columns), so vertex u < k lands on prefix[u]. sums[r] holds, for the
     permutation p at row start + r of the block's table, the sum over edges
     (u, v) of matrix[..., p[u], p[v]]: one per permutation, or a row of w
-    for a stack. The edges, pairs of distinct vertices, are covered by
-    groups of up to _group_size vertices, and each group adds one take from
-    its table at its row of _columns(n, k, groups), from _cached_columns
-    when cache is set. The columns do not depend on the prefix, so a walk
-    reads any prefixes it is given, in any order, against one set of
-    columns. The sums are int16 while |edges| times the largest |entry|
-    bounds them by 32767, which holds for any distance matrix at n <= 16
-    (C(n, 2) * (n - 1) <= 1800), and int32 past that.
+    for a stack. The tiles cover the table's rows from first on. The edges,
+    pairs of distinct vertices, are covered by groups of up to _group_size
+    vertices, and each group adds one take from its table at its row of
+    _columns(n, k, groups), from _cached_columns when cache is set.
+
+    Neither the columns nor the group tables depend on the prefix, so a
+    walk reads any prefixes it is given, in any order, against one set of
+    each. A group's table is built once per walk over the matrix's own
+    labels; a tile reads it in its block's positions, one take of order
+    per table axis just before the take at its column, and reads it as it
+    is when order is the identity (every block of a scan at n <= 8). One
+    reordered table at a time is live: with all of a block's reordered
+    tables live at once, a 12-vertex search took about 10^5 page faults
+    per call (0.41 s against 0.27 s for a cycle H), as glibc handed the
+    freed pages back after each block. A block of several tiles, a stack
+    at n >= 9, reorders its tables once per tile. The sums are int16 while
+    |edges| times the largest |entry| bounds them by 32767, which holds for
+    any distance matrix at n <= 16 (C(n, 2) * (n - 1) <= 1800), and int32
+    past that.
     """
     n = matrix.shape[-1]
     width = math.prod(matrix.shape[:-2])
@@ -237,19 +257,23 @@ def _block_sums(matrix: np.ndarray, edges, k: int, cache: bool = False):
     # position pairs first, the stack axis last
     cells = matrix.astype(dtype)
     if cells.ndim == 3:
-        cells = np.moveaxis(cells, 0, -1)
+        cells = np.ascontiguousarray(np.moveaxis(cells, 0, -1))
+    rest = cells.shape[2:]
+    tables = [_group_table(cells, *group) for group in groups]
     tile = max(1, _TILE_SUMS // max(width, 1))
 
-    def tiles(prefix):
+    def tiles(prefix, first=0):
         # not np.setdiff1d: its first call alone adds about 1.7 MB of RSS
         order = np.array([*prefix, *[v for v in range(n) if v not in prefix]], dtype=np.int64)
-        block = cells[np.ix_(order, order)]
-        tables = [_group_table(block, *group) for group in groups]
-        for start in range(0, columns.shape[1], tile):
+        reorder = tuple(prefix) != tuple(range(k))
+        for start in range(first, columns.shape[1], tile):
             tile_columns = columns[:, start : start + tile]
-            sums = np.zeros((tile_columns.shape[1], *block.shape[2:]), dtype=dtype)
+            sums = np.zeros((tile_columns.shape[1], *rest), dtype=dtype)
             for table, column in zip(tables, tile_columns):
-                sums += table.take(column, axis=0)
+                if reorder:
+                    for axis in range(table.ndim - len(rest)):
+                        table = table.take(order, axis=axis)
+                sums += table.reshape(-1, *rest).take(column, axis=0)
             yield order, start, sums
 
     return tiles
@@ -264,28 +288,42 @@ def _sum_tiles(matrix: np.ndarray, edges, transitive: bool = False):
         yield from tiles(prefix)
 
 
-def best_completion(matrix: np.ndarray, edges):
-    """Return (k, best), best(prefix, floor) the best permutation extending a prefix.
+def best_completion(matrix: np.ndarray, edges, k: int, mate: bool = False):
+    """Return best(prefix, floor), the best permutation extending a prefix.
 
-    matrix is (n, n), and each prefix is k = max(n - 8, 1) distinct
-    vertices. best scores the (n - k)! permutations p with p[:k] = prefix as
+    matrix is (n, n), and each prefix is k distinct vertices, 1 <= k < n
+    and n - k <= 8. best scores the permutations p with p[:k] = prefix as
     one block of _block_sums and returns (value, p), p a list, for the
     first p in the block whose sum over edges (u, v) of matrix[p[u], p[v]]
-    is the block's maximum, or None when that maximum is not above floor.
+    is the maximum of the scored ones, or None when that maximum is not
+    above floor or nothing is scored.
+
+    mate scores only the permutations with p[k] > p[0]; the
+    branch-and-bound sets it when an automorphism of H maps vertex 0 to
+    vertex k. Vertex k's position is the table's slowest digit, and the
+    free vertices take the G-vertices off the prefix in ascending order,
+    so those permutations are the block's tail from row c * (n - k - 1)!,
+    c the number of free G-vertices below prefix[0].
     """
-    k = max(matrix.shape[0] - _TABLE_N, 1)
-    table = _permutation_table(matrix.shape[0] - k)
+    n = matrix.shape[0]
+    table = _permutation_table(n - k)
+    chunk = math.factorial(n - k - 1)
     tiles = _block_sums(matrix, edges, k, cache=True)
 
     def best(prefix, floor):
+        first = 0
+        if mate:
+            first = (prefix[0] - sum(v < prefix[0] for v in prefix[1:])) * chunk
+            if first == table.shape[1]:
+                return None
         # one matrix's block, at most 8! sums, is one tile
-        ((order, _, sums),) = tiles(prefix)
+        ((order, start, sums),) = tiles(prefix, first)
         r = int(sums.argmax())
         if sums[r] <= floor:
             return None
-        return int(sums[r]), [*prefix, *order[k + table[:, r]].tolist()]
+        return int(sums[r]), [*prefix, *order[k + table[:, start + r]].tolist()]
 
-    return k, best
+    return best
 
 
 def code_sums(n: int, edges, out: np.ndarray | None = None) -> np.ndarray:
@@ -301,16 +339,17 @@ def code_sums(n: int, edges, out: np.ndarray | None = None) -> np.ndarray:
     holds more than one row of n! entries: an (n!, |edges|) array of the
     bits, 0.1-0.8 MB per graph at n = 7, sits above malloc's mmap
     threshold and cost the n = 7 enumeration about 10000 page faults, a
-    fifth of its time. out, an int64 row of n! entries, receives the codes.
+    fifth of its time. A code has C(n, 2) <= 28 bits at n <= 8, so the
+    codes are int32; out, an int32 row of n! entries, receives them.
     """
     if n > _TABLE_N:
         raise ValueError(f"canonical codes need n <= {_TABLE_N}, got n={n}")
     rows, _, index = _pair_index(n)
     # the bit of each position pair, flat; the diagonal is never read
-    bits = (1 << (rows.size - 1 - index)).reshape(-1)
+    bits = (1 << (rows.size - 1 - index)).astype(np.int32).reshape(-1)
     table = _permutation_table(n)
     if out is None:
-        out = np.zeros(table.shape[1], dtype=np.int64)
+        out = np.zeros(table.shape[1], dtype=np.int32)
     else:
         out.fill(0)
     for u, v in edges:

@@ -180,6 +180,23 @@ def _vertex_transitive(h: Graph) -> bool:
     return len({len(a) for a in adj}) == 1 and len(_aut_orbit(adj, 0)) == h.n
 
 
+def _search_order(adj: tuple[tuple[int, ...], ...], k: int) -> tuple[list[int], set[int]]:
+    """The branch-and-bound's vertex order for a prefix of k, and x0's Aut(H)-orbit.
+
+    The order is descending degree, ties by label, and x0 is its first
+    vertex. When an orbit mate of x0 lies at depth k or later, the first
+    such moves to depth k, the first vertex a kernel block places, and the
+    others keep their order; with k = n (no blocks) the order is unchanged.
+    """
+    order = sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v))
+    orbit = _aut_orbit(adj, order[0])
+    mate = next((v for v in order[k:] if v in orbit), None)
+    if mate is not None:
+        order.remove(mate)
+        order.insert(k, mate)
+    return order, orbit
+
+
 def _branch_and_bound(
     h: Graph, g: Graph, sense: str, incumbent: int | None = None, blocks: bool = True
 ) -> tuple[int, tuple[int, ...]]:
@@ -188,7 +205,7 @@ def _branch_and_bound(
     The minimum is the maximum over negated distances, so one search with
     one bound serves both senses: it maximizes sign * d for sign = +1 (max)
     or -1 (min) and returns sign times the best value. H is relabelled by
-    the search order, descending degree, and a Python depth-first search
+    the search order (_search_order), and a Python depth-first search
     places its first k = max(n - 8, 1) vertices; each prefix that survives
     the bound gets its (n - k)! completions scored as one block by the
     take-and-add walk of the exhaustive scan (kernels.best_completion), and
@@ -208,10 +225,14 @@ def _branch_and_bound(
     {f . sigma : sigma in Aut(H)} has one score and a member that maps x0
     below every other vertex of x0's Aut(H)-orbit O, so x0 only takes the
     G-vertices 0..n - |O| and the other orbit vertices in the prefix only
-    take G-vertices above f(x0); orbit vertices inside a block are not
-    restricted, so the search reads a superset of those members. The
-    witness is mapped back to H's labels; it is the first optimum found,
-    an optimum but not necessarily the lexicographically smallest.
+    take G-vertices above f(x0). So does the orbit mate that the search
+    order puts at depth k, the first vertex a block places: the block
+    scores only its completions that place the mate above f(x0), one tail
+    of its table (kernels.best_completion's mate). The other orbit vertices
+    inside a block are not restricted, so the search reads a superset of
+    those members. The witness is mapped back to H's labels; it is the
+    first optimum found, an optimum but not necessarily the
+    lexicographically smallest.
 
     An incumbent value starts the search as the best found so far, so only
     bijections strictly better than it are completed; when none is, the
@@ -227,7 +248,8 @@ def _branch_and_bound(
     for d in sorted((dg[a][b] for a in range(n) for b in range(a + 1, n)), reverse=True):
         top.append(top[-1] + d)
     h_adj = adjacency(h)
-    order = sorted(range(n), key=lambda v: (-len(h_adj[v]), v))
+    k = max(n - kernels._TABLE_N, 1) if blocks else n
+    order, orbit = _search_order(h_adj, k)
     position = [0] * n
     for depth, v in enumerate(order):
         position[v] = depth
@@ -240,12 +262,11 @@ def _branch_and_bound(
     for depth in range(n - 1, -1, -1):
         remaining[depth] = remaining[depth + 1] + len(placed_nbrs[depth])
         inner[depth] = inner[depth + 1] + later[depth]
-    orbit = {position[v] for v in _aut_orbit(h_adj, order[0])}
-    in_orbit = [depth > 0 and depth in orbit for depth in range(n)]
+    in_orbit = [depth > 0 and v in orbit for depth, v in enumerate(order)]
     # the cap added by placing vertex depth on gv: its edges to later vertices
     opening = [[m * e for e in ecc] for m in later]
     zero_row = [0] * n
-    k, best = kernels.best_completion(dist, edges) if blocks else (n, None)
+    best = kernels.best_completion(dist, edges, k, mate=order[k] in orbit) if k < n else None
 
     fmap = [-1] * n
     used = [False] * n

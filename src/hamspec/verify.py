@@ -33,13 +33,15 @@ from .graphs import (
 )
 from .spectra import _check_scan_cap, _vertex_transitive, spectrum
 
-# n=8 holds 11117 classes; enumerating them takes about 16-18 s, against under
-# 1 s to score them all against one H (timings in the kernels module
+# n=8 holds 11117 classes; enumerating them takes about 3.2-3.5 s, against
+# under 1 s to score them all against one H (timings in the kernels module
 # docstring), so enumeration is what keeps the cap at 7.
 ENUMERATION_CAP = 7
 
 
-@lru_cache(maxsize=None)
+# one tuple of class representatives per n, each built from the one below:
+# at most ENUMERATION_CAP entries, 1 + 1 + 2 + 6 + 21 + 112 + 853 graphs
+@lru_cache(maxsize=ENUMERATION_CAP)
 def _connected_classes(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1, ()),)
@@ -47,7 +49,7 @@ def _connected_classes(n: int) -> tuple[Graph, ...]:
     # sums: codes[mask | 1 << v] = codes[mask] + attach[v] for mask < 1 << v,
     # attach[v] the codes of the one edge (v, n - 1)
     attach = np.stack([kernels.code_sums(n, [(v, n - 1)]) for v in range(n - 1)])
-    codes = np.empty((1 << (n - 1), attach.shape[1]), dtype=np.int64)
+    codes = np.empty((1 << (n - 1), attach.shape[1]), dtype=np.int32)
     seen = set()
     for base in _connected_classes(n - 1):
         kernels.code_sums(n, base.edges, out=codes[0])

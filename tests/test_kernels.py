@@ -137,8 +137,7 @@ def test_walk_reads_the_prefixes_it_is_given():
         walk = {tuple(order[:k].tolist()): sums for order, _, sums in kernels._sum_tiles(dist, edges)}
         assert list(walk) == list(itertools.permutations(range(n), k))
         tiles = kernels._block_sums(dist, edges, k)
-        best_k, best = kernels.best_completion(dist, edges)
-        assert best_k == k
+        best = kernels.best_completion(dist, edges, k)
         for prefix in rng.sample(list(walk), 8):
             ((order, start, sums),) = tiles(prefix)
             assert (start, tuple(order[:k].tolist())) == (0, prefix)
@@ -148,6 +147,41 @@ def test_walk_reads_the_prefixes_it_is_given():
             value, p = best(prefix, -1)
             assert (value, tuple(p)) == (want.max(), tuple(perms[want.argmax()].tolist()))
             assert best(prefix, value) is None
+
+
+def test_best_completion_mate_scores_the_tail():
+    # mate scores the completions with p[k] > p[0]: the block's rows from
+    # c * (n - k - 1)!, c the free vertices below prefix[0], in table order
+    rng = random.Random(8899)
+    for n in (9, 10):
+        k = n - 8
+        dist = distance_matrix(random_connected_graph(n, rng))
+        edges = _random_h(rng, n, 2 * n)
+        best = kernels.best_completion(dist, edges, k, mate=True)
+        prefixes = list(itertools.permutations(range(n), k))
+        for prefix in rng.sample(prefixes, min(len(prefixes), 12)):
+            perms, sums = _gather_block(dist, edges, prefix)
+            tail = perms[:, k] > perms[:, 0]
+            if not tail.any():
+                assert best(prefix, -1) is None
+                continue
+            r = int(np.flatnonzero(tail)[sums[tail].argmax()])
+            value, p = best(prefix, -1)
+            assert (value, tuple(p)) == (sums[r], tuple(perms[r].tolist()))
+    # the one pair (3, 4) above 3 weighs 100 and the pair (3, 2) below it
+    # 200, so a tail started one chunk late or early misses or passes 100
+    matrix = np.zeros((9, 9), dtype=np.int64)
+    matrix[3, 4] = matrix[4, 3] = 100
+    matrix[3, 2] = matrix[2, 3] = 200
+    value, p = kernels.best_completion(matrix, [(0, 1)], 1, mate=True)((3,), -1)
+    assert (value, p[:2]) == (100, [3, 4])
+    assert kernels.best_completion(matrix, [(0, 1)], 1)((3,), -1)[0] == 200
+    # no free vertex above prefix[0]: the tail is empty
+    for n, prefixes in ((10, [(8, 9), (9, 8)]), (9, [(8,)])):
+        path = make_path(n)
+        best = kernels.best_completion(distance_matrix(path), path.edges, n - 8, mate=True)
+        for prefix in prefixes:
+            assert best(prefix, -100) is None
 
 
 def test_block_sums_past_int16():
@@ -161,7 +195,7 @@ def test_block_sums_past_int16():
         assert want.min() > np.iinfo(np.int16).max
         ((_, _, sums),) = kernels._block_sums(matrix, edges, 1)(prefix)
         assert sums.tolist() == want.tolist()
-        value, p = kernels.best_completion(matrix, edges)[1](prefix, -1)
+        value, p = kernels.best_completion(matrix, edges, 1)(prefix, -1)
         assert value == sum(int(matrix[p[u], p[v]]) for u, v in edges) == want.max()
     # the exhaustive scan reads the same walk
     counts, lo, hi, mw, xw = kernels.scan_sums(matrix, edges)
@@ -359,7 +393,7 @@ def test_code_sums_match_bit_codes():
     # its ordering as position -> vertex, so entry r is the bit code of the
     # inverse of permutation r
     rng = random.Random(4242)
-    out = np.full(math.factorial(8), -1, dtype=np.int64)
+    out = np.full(math.factorial(8), -1, dtype=np.int32)
     for n in (2, 5, 7, 8):
         for _ in range(4):
             edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
@@ -367,10 +401,14 @@ def test_code_sums_match_bit_codes():
                 bit_code(n, edges, sorted(range(n), key=perm.__getitem__))
                 for perm in itertools.permutations(range(n))
             ]
-            assert kernels.code_sums(n, edges).tolist() == expected, (n, edges)
+            codes = kernels.code_sums(n, edges)
+            assert codes.dtype == np.int32
+            assert codes.tolist() == expected, (n, edges)
             row = out[: math.factorial(n)]
             assert kernels.code_sums(n, edges, out=row) is row
             assert row.tolist() == expected
+    # K8 sets all C(8, 2) = 28 bits under every ordering: past int16, inside int32
+    assert set(kernels.code_sums(8, make_complete(8).edges).tolist()) == {(1 << 28) - 1}
 
 
 def test_canonical_code_size_guard():
@@ -428,6 +466,11 @@ def test_max_sums_matches_scan_sums():
     # of the nine blocks
     broom = build_graph(9, [(8, 7), (7, 6), (6, 5), (5, 4), (0, 4), (1, 4), (2, 4), (3, 4)])
     cases.append((distance_matrix(broom)[None], [(0, v) for v in range(1, 9)]))
+    # blocks of several tiles at n = 9: 20 graphs get 2^17 // 20 = 6553 of
+    # the 8! permutations a tile, so each block past the first reads its
+    # reordered tables in seven tiles
+    assert kernels._TILE_SUMS // 20 < math.factorial(8)
+    cases.append((_connected_stack(rng, 9, 20), list(make_path(9).edges) + [(0, 4), (2, 7)]))
     # n = 10 puts vertices 0 and 1 in the prefix: edge (0, 1) lands on one
     # number per block, and prefix-to-rest edges come in both orientations
     g = build_graph(10, [(rng.randrange(i), i) for i in range(1, 10)] + [(1, 9), (2, 6)])

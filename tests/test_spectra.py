@@ -22,6 +22,7 @@ from hamspec.graphs import (
 from hamspec.spectra import (
     SpectrumReport,
     _aut_orbit,
+    _search_order,
     classic_numbers,
     contains_subgraph,
     extremal_number,
@@ -258,27 +259,75 @@ def test_aut_orbit_known_groups():
     assert _aut_orbit(adjacency(build_graph(5, [])), 2) == set(range(5))
 
 
+def _symmetric_shapes(n):
+    """H with large automorphism groups, where a wrong orbit prunes optima."""
+    shapes = [
+        make_path(n),
+        make_complete(n),
+        build_graph(n, []),
+        build_graph(n, [(0, k) for k in range(1, n)]),
+        build_graph(n, [(2 * k, 2 * k + 1) for k in range(n // 2)]),
+        # two joined stars, swapped by Aut(H) for even n
+        build_graph(n, [(0, 1)] + [(k % 2, k) for k in range(2, n)]),
+    ]
+    if n >= 3:
+        shapes.append(make_cycle(n))
+    if n >= 6:
+        # a triangle beside a path: same degrees, different orbits, the
+        # triangle first and then last in label order
+        triangle = [(0, 1), (1, 2), (0, 2)]
+        shapes.append(build_graph(n, triangle + [(k, k + 1) for k in range(3, n - 1)]))
+        last = [(u + n - 3, v + n - 3) for u, v in triangle]
+        shapes.append(build_graph(n, [(k, k + 1) for k in range(n - 4)] + last))
+    if n >= 7:
+        shapes.append(build_graph(n, list(RIGID_TREE.edges) + [(6, k) for k in range(7, n)]))
+    return shapes
+
+
 def test_branch_and_bound_symmetric_h():
-    # H with large automorphism groups, where a wrong orbit prunes optima
     rng = random.Random(5150)
     for n in range(2, 9):
-        shapes = [
-            make_path(n),
-            make_complete(n),
-            build_graph(n, []),
-            build_graph(n, [(0, k) for k in range(1, n)]),
-            build_graph(n, [(2 * k, 2 * k + 1) for k in range(n // 2)]),
-        ]
-        if n >= 3:
-            shapes.append(make_cycle(n))
-        if n >= 6:
-            # a triangle beside a path: same degrees, different orbits
-            shapes.append(build_graph(n, [(0, 1), (1, 2), (0, 2)] + [(k, k + 1) for k in range(3, n - 1)]))
-        if n >= 7:
-            shapes.append(build_graph(n, list(RIGID_TREE.edges) + [(6, k) for k in range(7, n)]))
-        for h in shapes:
+        for h in _symmetric_shapes(n):
             for _ in range(3):
                 _assert_bnb_matches_scan(h, random_connected_graph(n, rng))
+
+
+def test_branch_and_bound_symmetric_h_past_one_block():
+    # n = 9 and 10, where each block places the orbit mate of x0 first and
+    # scores only the completions that put it above f(x0)
+    rng = random.Random(91010)
+    for h in _symmetric_shapes(9):
+        _assert_bnb_matches_scan(h, random_connected_graph(9, rng))
+    for h in _symmetric_shapes(10):
+        g = random_connected_graph(10, rng)
+        _, lo, hi, _, _ = kernels.scan_sums(distance_matrix(g), h.edges)
+        for sense, expected in (("min", lo), ("max", hi)):
+            value, witness = extremal_number(h, g, sense, method="bnb")
+            assert value == expected, (h.edges, g.edges, sense)
+            assert pseudo_sum(h, g, witness) == value
+
+
+def test_search_order_moves_one_orbit_mate_to_the_first_block_vertex():
+    for n in (2, 6, 9, 10):
+        for h in _symmetric_shapes(n):
+            adj = adjacency(h)
+            by_degree = sorted(range(n), key=lambda v: (-len(adj[v]), v))
+            orbit = _aut_orbit(adj, by_degree[0])
+            # placing every vertex in Python keeps descending degree
+            assert _search_order(adj, n) == (by_degree, orbit)
+            k = max(n - 8, 1)
+            order, _ = _search_order(adj, k)
+            mates = [v for v in by_degree[k:] if v in orbit]
+            if mates:
+                # the first mate past the prefix moves to depth k, and only it
+                assert order[k] == mates[0]
+                assert order[:k] + order[k + 1 :] == [v for v in by_degree if v != mates[0]]
+            else:
+                assert order == by_degree
+    # a triangle beside a path 0-1-2-3-4-5: x0 = 1, whose orbit is {1, 4},
+    # moves 4 ahead of 2, 3 and the triangle, which share its degree
+    h = build_graph(9, [(k, k + 1) for k in range(5)] + [(6, 7), (7, 8), (6, 8)])
+    assert _search_order(adjacency(h), 1) == ([1, 4, 2, 3, 6, 7, 8, 0, 5], {1, 4})
 
 
 def test_branch_and_bound_agrees_at_n9():

@@ -82,6 +82,14 @@ def test_enumeration_counts_known():
         assert len(enumerate_connected_graphs(n)) == want
 
 
+def test_enumeration_cache_is_bounded():
+    # one entry per n the enumeration may reach, and no more
+    enumerate_connected_graphs(verify_mod.ENUMERATION_CAP)
+    info = verify_mod._connected_classes.cache_info()
+    assert info.maxsize == verify_mod.ENUMERATION_CAP
+    assert info.currsize <= verify_mod.ENUMERATION_CAP
+
+
 def test_enumeration_cross_checks_labeled_counts():
     assert _labeled_connected_counts(7) == LABELED_COUNTS
     for n in range(1, 8):
