@@ -12,7 +12,8 @@ table, so no table past 8! is ever built. The walk reads the prefixes it
 is given. The scans give it the lexicographic k-permutations for
 k = max(n - 8, 0) (_prefixes), which come in global lexicographic order,
 so the first permutation attaining an extreme is the lexicographically
-smallest one, and for n <= 8 the one block is the table itself. The
+smallest one (the pair slice below ranks a block's rows to keep that),
+and for n <= 8 the one block is the table itself. The
 branch-and-bound in spectra.py gives it the prefixes that survive its
 bound, one at a time. The walk reads a group of H-vertices as one uint16
 column per permutation, the mixed-radix number of the group's positions,
@@ -33,20 +34,26 @@ identity, as for every scan at n <= 8.
   (_group_size): 4 at n = 9, so a 9-cycle or 9-path is three takes per
   block, not nine; 2 for the 853 graphs of a stack at n = 7, one take
   per edge. scan_sums reads one graph, whose block is one tile: the
-  spectrum, its extremes and their witnesses. A 9! scan of a path takes
-  about 0.003 s and a 10! one about 0.03 s. max_sums reads a stack of
-  graphs and keeps a running maximum per graph: it scores the 853
-  connected classes at n = 7 in about 0.006 s per H, and the 11117 at
-  n = 8 in about 0.6-0.75 s per H.
-- For a vertex-transitive H both read one slice, the permutations with
-  p[0] = 0: the prefixes that start with 0, for k = max(n - 8, 1), so for
-  n <= 8 the one prefix (0,) over the (n - 1)! table, the same
-  permutations in the same order as the first (n - 1)! columns of the n!
-  table. The caller derives the flag from H; scan_sums multiplies the
-  counts by n, and the lexicographically first optimum always lies in
-  the slice. A cycle's 9! scan then takes about
-  0.0007-0.001 s instead of 0.0034-0.0044 s, and its 10! scan 0.004 s
-  instead of 0.035 s.
+  spectrum, its extremes and their witnesses. A full 9! scan of a path
+  takes about 0.0024-0.0028 s and a full 10! one about 0.025 s. max_sums
+  reads a stack of graphs and keeps a running maximum per graph: it
+  scores the 853 connected classes at n = 7 in about 0.006 s per H, and
+  the 11117 at n = 8 in about 0.6-0.75 s per H.
+- Both read one slice of the walk, set by orbit, the Aut(H)-orbit of
+  vertex 0 that the caller finds once per H (_prefixes). An orbit of all
+  n vertices reads the permutations with p[0] = 0: the prefixes that
+  start with 0, for k = max(n - 8, 1), so for n <= 8 the one prefix (0,)
+  over the (n - 1)! table, the first (n - 1)! columns of the n! table;
+  scan_sums multiplies the counts by n. An orbit {0, m} at n >= 9 reads
+  the permutations with p[0] < p[m]: H is relabelled so that m is vertex
+  k, the table's slowest digit, and each block is read from its mate tail
+  (_tail_row), the tail best_completion reads; scan_sums doubles the
+  counts and takes each witness by its rank in H's own order
+  (_swapped_rank). Any other orbit, or a pair at n <= 8, reads the whole
+  walk. The lexicographically first optimum always lies in the slice. A
+  cycle's 9! scan then takes about 0.0004-0.001 s instead of
+  0.0034-0.0044 s, and its 10! scan 0.004 s instead of 0.035 s; a path's
+  9! scan about 0.0015 s and its 10! scan 0.015 s.
 - best_completion scores the (n - k)! completions of one prefix, for
   k = max(n - 8, 1), as one block and returns the block's first maximum.
   The branch-and-bound places the first k H-vertices in Python and calls
@@ -100,21 +107,49 @@ def _permutation_table(n: int) -> np.ndarray:
     return table
 
 
-def _prefixes(n: int, transitive: bool = False):
-    """Return (k, prefixes), the blocks of the scan's walk over the n! permutations.
+def _prefixes(n: int, orbit=(0,)):
+    """Return (k, prefixes, mate, factor), the scan's walk over the n! permutations.
 
-    The prefixes are the lexicographic k-permutations of range(n) for
-    k = max(n - 8, 0), so the blocks come in global lexicographic order and
-    no table past 8! is built. transitive walks only the permutations with
-    p[0] = 0, which come first: the prefixes that start with 0, for
-    k = max(n - 8, 1), so for n <= 8 the one prefix (0,) over the (n - 1)!
-    table, the first (n - 1)! columns of the n! table.
+    orbit is the Aut(H)-orbit of H's vertex 0, or (0,) to claim no
+    symmetry. The blocks are the lexicographic k-permutations of range(n)
+    for k = max(n - 8, 0), in global lexicographic order, so no table past
+    8! is built. The walk reads a slice of them that holds the
+    lexicographically first optimum and 1/factor of the permutations at
+    each sum, so the counts are multiplied by factor:
+
+    - |orbit| = n: the permutations with p[0] = 0, which come first: the
+      prefixes that start with 0, for k = max(n - 8, 1), so for n <= 8 the
+      one prefix (0,) over the (n - 1)! table, the first (n - 1)! columns
+      of the n! table. factor is n.
+    - |orbit| = 2, say {0, m}, and n > 8: the permutations with
+      p[0] < p[m], factor 2. For m < k those are the prefixes with
+      prefix[0] < prefix[m]. Otherwise mate is m: the walk relabels H so
+      that m becomes vertex k, the table's slowest digit, and reads each
+      block from its mate tail (_tail_row).
+    - any other orbit: the whole walk, factor 1.
+
+    mate is None when the walk reads whole blocks.
     """
-    if not transitive:
-        k = max(n - _TABLE_N, 0)
-        return k, itertools.permutations(range(n), k)
-    k = max(n - _TABLE_N, 1)
-    return k, ((0, *rest) for rest in itertools.permutations(range(1, n), k - 1))
+    if len(orbit) == n:
+        k = max(n - _TABLE_N, 1)
+        return k, ((0, *rest) for rest in itertools.permutations(range(1, n), k - 1)), None, n
+    k = max(n - _TABLE_N, 0)
+    prefixes = itertools.permutations(range(n), k)
+    if len(orbit) != 2 or k == 0:
+        return k, prefixes, None, 1
+    m = max(orbit)
+    if m < k:
+        return k, (p for p in prefixes if p[0] < p[m]), None, 2
+    return k, prefixes, m, 2
+
+
+def _tail_row(prefix, chunk: int) -> int:
+    """The first row of a block's mate tail, the completions that place
+    vertex k above prefix[0]: vertex k's position is the table's slowest
+    digit and the free vertices take the G-vertices off the prefix in
+    ascending order, so the tail starts at c * chunk, chunk = (n - k - 1)!
+    and c the number of free G-vertices below prefix[0]."""
+    return (prefix[0] - sum(v < prefix[0] for v in prefix[1:])) * chunk
 
 
 def _columns(n: int, k: int, groups: tuple[tuple[int, ...], ...]) -> np.ndarray:
@@ -279,13 +314,45 @@ def _block_sums(matrix: np.ndarray, edges, k: int, cache: bool = False):
     return tiles
 
 
-def _sum_tiles(matrix: np.ndarray, edges, transitive: bool = False):
+def _sum_tiles(matrix: np.ndarray, edges, orbit=(0,)):
     """Yield (order, start, sums) over the scan's walk, in walk order: the
-    blocks of _block_sums at the prefixes of _prefixes(n, transitive)."""
-    k, prefixes = _prefixes(matrix.shape[-1], transitive)
+    blocks of _block_sums at the prefixes of _prefixes(n, orbit), each read
+    from its mate tail, with H's mate relabelled k, when the walk has one."""
+    n = matrix.shape[-1]
+    k, prefixes, mate, _ = _prefixes(n, orbit)
+    if mate is not None:
+        label = _swap(n, mate, k)
+        edges = [(label[u], label[v]) for u, v in edges]
+        chunk = math.factorial(n - k - 1)
     tiles = _block_sums(matrix, edges, k)
     for prefix in prefixes:
-        yield from tiles(prefix)
+        yield from tiles(prefix, 0 if mate is None else _tail_row(prefix, chunk))
+
+
+def _swap(n: int, a: int, b: int) -> list[int]:
+    """range(n) with a and b swapped: H-vertex u is the walk's vertex
+    label[u], and the swap is its own inverse."""
+    label = list(range(n))
+    label[a], label[b] = b, a
+    return label
+
+
+@lru_cache(maxsize=_TABLE_N)
+def _swapped_rank(m: int, d: int) -> np.ndarray:
+    """Entry r is the lexicographic rank of permutation r of the m! table
+    read with its digits 0 and d swapped: the order, within a block, of the
+    rows of a walk that relabels H's mate, in H's own labels. Read-only
+    int32, 161 KB at m = 8."""
+    table = _permutation_table(m)
+    digits = _swap(m, 0, d)
+    code = np.zeros(table.shape[1], dtype=np.int64)
+    for digit in digits:
+        code *= m
+        code += table[digit]
+    rank = np.empty(code.size, dtype=np.int32)
+    rank[code.argsort()] = np.arange(code.size, dtype=np.int32)
+    rank.setflags(write=False)
+    return rank
 
 
 def best_completion(matrix: np.ndarray, edges, k: int, mate: bool = False):
@@ -298,12 +365,9 @@ def best_completion(matrix: np.ndarray, edges, k: int, mate: bool = False):
     is the maximum of the scored ones, or None when that maximum is not
     above floor or nothing is scored.
 
-    mate scores only the permutations with p[k] > p[0]; the
-    branch-and-bound sets it when an automorphism of H maps vertex 0 to
-    vertex k. Vertex k's position is the table's slowest digit, and the
-    free vertices take the G-vertices off the prefix in ascending order,
-    so those permutations are the block's tail from row c * (n - k - 1)!,
-    c the number of free G-vertices below prefix[0].
+    mate scores only the permutations with p[k] > p[0], the block's mate
+    tail (_tail_row); the branch-and-bound sets it when an automorphism of
+    H maps vertex 0 to vertex k.
     """
     n = matrix.shape[0]
     table = _permutation_table(n - k)
@@ -311,11 +375,9 @@ def best_completion(matrix: np.ndarray, edges, k: int, mate: bool = False):
     tiles = _block_sums(matrix, edges, k, cache=True)
 
     def best(prefix, floor):
-        first = 0
-        if mate:
-            first = (prefix[0] - sum(v < prefix[0] for v in prefix[1:])) * chunk
-            if first == table.shape[1]:
-                return None
+        first = _tail_row(prefix, chunk) if mate else 0
+        if first == table.shape[1]:
+            return None
         # one matrix's block, at most 8! sums, is one tile
         ((order, start, sums),) = tiles(prefix, first)
         r = int(sums.argmax())
@@ -372,59 +434,74 @@ def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, index
 
 
-def scan_sums(dist: np.ndarray, edges, transitive: bool = False):
+def scan_sums(dist: np.ndarray, edges, orbit=(0,)):
     """Exhaustive sum scan; returns (counts, min, max, min_witness, max_witness).
 
     counts[s] is the number of permutations p with sum over edges (u, v) of
     dist[p[u], p[v]] equal to s, and each witness is the lexicographically
     first permutation attaining its extreme. The sums come from _sum_tiles.
 
-    transitive says that H, the graph of the edges on dist's n vertices, is
-    vertex-transitive; the scan then reads only the (n - 1)! permutations
-    with p[0] = 0 and multiplies the counts by n. That is exact: an
-    automorphism s of H with s(0) = x maps {p[0] = a} onto {p[x] = a} by
-    p -> p . s^-1, so each count is n times its count at p[0] = 0; and for
-    any optimum p, p . s with s(0) = p^-1(0) is an optimum with p[0] = 0,
-    so the lexicographically first optimum lies in the slice.
+    orbit is the Aut(H)-orbit of vertex 0, H the graph of the edges on
+    dist's n vertices (see _prefixes). When it has n vertices the scan
+    reads only the (n - 1)! permutations with p[0] = 0 and multiplies the
+    counts by n. That is exact: an automorphism s of H with s(0) = x maps
+    {p[0] = a} onto {p[x] = a} by p -> p . s^-1, so each count is n times
+    its count at p[0] = 0; and for any optimum p, p . s with
+    s(0) = p^-1(0) is an optimum with p[0] = 0, so the lexicographically
+    first optimum lies in the slice. When it is {0, m} and n > 8 the scan
+    reads only the n!/2 permutations with p[0] < p[m] and doubles the
+    counts: the automorphism s with s(0) = m also has s(m) = 0, so
+    p -> p . s swaps the two halves at equal sums, and p . s is the smaller
+    of the two where p[m] < p[0]. A walk that relabels H (its mate) reads
+    each block's rows out of lexicographic order, so a tile that improves
+    an extreme takes, of its rows attaining it, the one first in H's own
+    labels.
     """
     n = dist.shape[0]
-    # the walk's prefix length and table, for the witnesses
-    k, _ = _prefixes(n, transitive)
+    k, _, mate, factor = _prefixes(n, orbit)
     table = _permutation_table(n - k)
+    label = list(range(n)) if mate is None else _swap(n, mate, k)
+    rank = None if mate is None else _swapped_rank(n - k, mate - k)
     top = int(len(edges) * dist.max())
     counts = np.zeros(top + 1, dtype=np.int64)
-    min_wit = np.zeros(n, dtype=np.int64)
-    max_wit = np.zeros(n, dtype=np.int64)
     best_min, best_max = top + 1, -1
-    for order, start, sums in _sum_tiles(dist, edges, transitive):
+    min_wit = max_wit = None
+
+    def witness(order, start, sums, i):
+        row = start + i
+        if rank is not None:
+            # of the rows attaining sums[i], the first in H's own order
+            ranks = rank[start : start + sums.shape[0]]
+            row = start + int(np.where(sums == sums[i], ranks, rank.size).argmin())
+        walk = np.concatenate([order[:k], order[k + table[:, row]]])
+        return walk[label]
+
+    for order, start, sums in _sum_tiles(dist, edges, orbit):
         counts += np.bincount(sums, minlength=top + 1)
         i = int(sums.argmin())
         if sums[i] < best_min:
             best_min = int(sums[i])
-            min_wit[:k] = order[:k]
-            min_wit[k:] = order[k + table[:, start + i]]
+            min_wit = witness(order, start, sums, i)
         i = int(sums.argmax())
         if sums[i] > best_max:
             best_max = int(sums[i])
-            max_wit[:k] = order[:k]
-            max_wit[k:] = order[k + table[:, start + i]]
-    if transitive:
-        counts *= n
+            max_wit = witness(order, start, sums, i)
+    counts *= factor
     return counts, best_min, best_max, min_wit, max_wit
 
 
-def max_sums(dists: np.ndarray, edges, transitive: bool = False) -> np.ndarray:
+def max_sums(dists: np.ndarray, edges, orbit=(0,)) -> np.ndarray:
     """Exhaustive maximum sum for each of a stack of distance matrices.
 
     dists is a (s, n, n) stack; entry i of the result is the maximum over
     all permutations p of the sum over edges (u, v) of dists[i, p[u], p[v]],
     which is scan_sums(dists[i], edges)[2] (0 for an edgeless H). The sums
     come from _sum_tiles, a tile of permutations against all s graphs at a
-    time, under a running maximum per graph; a vertex-transitive H
-    (transitive, as in scan_sums) reads only the permutations with p[0] = 0.
+    time, under a running maximum per graph, over the slice that orbit,
+    the Aut(H)-orbit of vertex 0 as in scan_sums, allows.
     """
     best = np.zeros(dists.shape[0], dtype=np.int64)
-    for _, _, sums in _sum_tiles(dists, edges, transitive):
+    for _, _, sums in _sum_tiles(dists, edges, orbit):
         np.maximum(best, sums.max(axis=0), out=best)
     return best
 

@@ -102,16 +102,18 @@ def spectrum(h: Graph, g: Graph) -> SpectrumReport:
 
     Witnesses are the lexicographically smallest bijections attaining the
     extremes, so reports are reproducible across runs. The scan covers all
-    n! bijections, so n above EXHAUSTIVE_CAP is refused; for a
-    vertex-transitive H it reads the (n - 1)! with f(0) = 0 and counts each
-    n times (see kernels.scan_sums).
+    n! bijections, so n above EXHAUSTIVE_CAP is refused. It reads a slice
+    set by the Aut(H)-orbit of vertex 0 (see kernels.scan_sums): for a
+    vertex-transitive H the (n - 1)! bijections with f(0) = 0, each
+    counted n times; for an orbit {0, m} at n >= 9, as for the path, the
+    n!/2 with f(0) < f(m), each counted twice; otherwise all n!.
     """
     _check_same_order(h, g)
     _check_connected(g)
     _check_scan_cap(g.n)
     dg = distance_matrix(g)
     counts, best_min, best_max, min_wit, max_wit = kernels.scan_sums(
-        dg, h.edges, transitive=_vertex_transitive(h)
+        dg, h.edges, orbit=_aut_orbit(adjacency(h), 0)
     )
     values = tuple((s, int(c)) for s, c in enumerate(counts) if c)
     return SpectrumReport(
@@ -127,10 +129,12 @@ def spectrum(h: Graph, g: Graph) -> SpectrumReport:
 def _aut_orbit(adj: tuple[tuple[int, ...], ...], x0: int) -> set[int]:
     """Vertices that some automorphism of the graph with neighbor tuples adj maps x0 to.
 
-    For each candidate x of x0's degree, backtracks for an automorphism
-    sending x0 to x: vertices are mapped by BFS distance from x0 (the other
-    components after it), each to an unused vertex of the same degree whose
-    adjacency to every vertex mapped so far matches.
+    The orbit starts as {x0} and is kept closed under every automorphism
+    found so far. Each candidate x of x0's degree that it does not yet hold
+    gets one backtracking search for an automorphism sending x0 to x:
+    vertices are mapped by BFS distance from x0 (the other components after
+    it), each to an unused vertex of the same degree whose adjacency to
+    every vertex mapped so far matches.
     """
     n = len(adj)
     nbrs = [set(a) for a in adj]
@@ -156,28 +160,26 @@ def _aut_orbit(adj: tuple[tuple[int, ...], ...], x0: int) -> set[int]:
         sigma[v] = -1
         return False
 
-    orbit = set()
+    orbit = {x0}
+    found: list[list[int]] = []
     for x in range(n):
-        if len(adj[x]) != len(adj[x0]):
+        if x in orbit or len(adj[x]) != len(adj[x0]):
             continue
         sigma[x0] = x
         taken[x] = True
         if extend(1):
-            orbit.add(x)
+            found.append(sigma[:])
+            frontier = list(orbit)
+            while frontier:
+                v = frontier.pop()
+                for automorphism in found:
+                    w = automorphism[v]
+                    if w not in orbit:
+                        orbit.add(w)
+                        frontier.append(w)
         sigma[:] = [-1] * n
         taken[:] = [False] * n
     return orbit
-
-
-def _vertex_transitive(h: Graph) -> bool:
-    """True iff Aut(H) maps vertex 0 to every vertex.
-
-    Regularity is checked first, as the cheap necessary condition; it is not
-    sufficient (C3 + C4 is 2-regular, and no automorphism maps a triangle
-    vertex into the square).
-    """
-    adj = adjacency(h)
-    return len({len(a) for a in adj}) == 1 and len(_aut_orbit(adj, 0)) == h.n
 
 
 def _search_order(adj: tuple[tuple[int, ...], ...], k: int) -> tuple[list[int], set[int]]:

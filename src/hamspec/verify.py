@@ -21,6 +21,7 @@ from .graphs import (
     FormatError,
     Graph,
     GraphError,
+    adjacency,
     build_graph,
     classify_shape,
     distance_matrix,
@@ -31,7 +32,7 @@ from .graphs import (
     render_graph,
     _spanning_tree_iter,
 )
-from .spectra import _check_scan_cap, _vertex_transitive, spectrum
+from .spectra import _aut_orbit, _check_scan_cap, spectrum
 
 # n=8 holds 11117 classes; enumerating them takes about 3.2-3.5 s, against
 # under 1 s to score them all against one H (timings in the kernels module
@@ -213,7 +214,7 @@ def verify_upper_bound(
                 if not todo:
                     continue
                 stack = dists[todo]
-            values = kernels.max_sums(stack, h.edges, transitive=_vertex_transitive(h))
+            values = kernels.max_sums(stack, h.edges, orbit=_aut_orbit(adjacency(h), 0))
             for i, value in zip(todo, values.tolist()):
                 problem = _check_upper_bound_item(shapes[i], value, bound)
                 if problem is None:

@@ -14,8 +14,8 @@ import pytest
 
 from generate import bit_code, canonical_code, random_connected_graph
 from hamspec import kernels
-from hamspec.graphs import build_graph, distance_matrix, make_complete, make_cycle, make_path
-from hamspec.spectra import _branch_and_bound, _vertex_transitive, pseudo_sum, spectrum
+from hamspec.graphs import adjacency, build_graph, distance_matrix, make_complete, make_cycle, make_path
+from hamspec.spectra import _aut_orbit, _branch_and_bound, pseudo_sum, spectrum
 from hamspec.verify import enumerate_connected_graphs
 
 
@@ -133,7 +133,7 @@ def test_walk_reads_the_prefixes_it_is_given():
     for n in (9, 10):
         dist = distance_matrix(random_connected_graph(n, rng))
         edges = _random_h(rng, n, 2 * n)
-        k, _ = kernels._prefixes(n)
+        k = kernels._prefixes(n)[0]
         walk = {tuple(order[:k].tolist()): sums for order, _, sums in kernels._sum_tiles(dist, edges)}
         assert list(walk) == list(itertools.permutations(range(n), k))
         tiles = kernels._block_sums(dist, edges, k)
@@ -541,7 +541,7 @@ def test_transitive_h_scans_one_slice():
     rng = random.Random(23023)
     for n in range(3, 9):
         for h in _transitive_shapes(n):
-            assert _vertex_transitive(h), h
+            assert _aut_orbit(adjacency(h), 0) == set(range(n)), h
             for _ in range(2):
                 g = random_connected_graph(n, rng)
                 dist = distance_matrix(g)
@@ -555,7 +555,7 @@ def test_transitive_h_scans_one_slice():
     dist = distance_matrix(make_path(5))
     edges = make_cycle(5).edges
     full = sum(sums.shape[0] for _, _, sums in kernels._sum_tiles(dist, edges))
-    pinned = sum(sums.shape[0] for _, _, sums in kernels._sum_tiles(dist, edges, True))
+    pinned = sum(sums.shape[0] for _, _, sums in kernels._sum_tiles(dist, edges, range(5)))
     assert (full, pinned) == (120, 24)
 
 
@@ -566,7 +566,7 @@ def test_transitive_slice_past_the_table():
         g = random_connected_graph(n, rng)
         dist = distance_matrix(g)
         edges = make_cycle(n).edges
-        counts, lo, hi, mw, xw = kernels.scan_sums(dist, edges, transitive=True)
+        counts, lo, hi, mw, xw = kernels.scan_sums(dist, edges, orbit=range(n))
         want = kernels.scan_sums(dist, edges)
         assert (counts.tolist(), lo, hi) == (want[0].tolist(), want[1], want[2])
         assert (tuple(mw), tuple(xw)) == (tuple(want[3]), tuple(want[4]))
@@ -575,12 +575,12 @@ def test_transitive_slice_past_the_table():
 def test_regular_h_that_is_not_transitive_takes_the_full_walk():
     # C3 + C4 is 2-regular, but no automorphism maps a triangle vertex into the square
     c3c4 = build_graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
-    assert not _vertex_transitive(c3c4)
-    assert not _vertex_transitive(make_path(7))
+    assert _aut_orbit(adjacency(c3c4), 0) == {0, 1, 2}
+    assert _aut_orbit(adjacency(make_path(7)), 0) == {0, 6}
     g = build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 5), (0, 3)])
     rep = spectrum(c3c4, g)
     want = kernels.scan_sums(distance_matrix(g), c3c4.edges)
-    got = kernels.scan_sums(distance_matrix(g), c3c4.edges, transitive=True)
+    got = kernels.scan_sums(distance_matrix(g), c3c4.edges, orbit=range(7))
     # the slice would miscount this H
     assert got[0].tolist() != want[0].tolist()
     assert rep.values == tuple((s, int(c)) for s, c in enumerate(want[0]) if c)
@@ -592,4 +592,66 @@ def test_transitive_max_sums_over_the_class_stack():
     dists = np.stack([distance_matrix(g) for g in classes])
     edges = make_cycle(7).edges
     want = [kernels.scan_sums(d, edges)[2] for d in dists]
-    assert kernels.max_sums(dists, edges, transitive=True).tolist() == want
+    assert kernels.max_sums(dists, edges, orbit=range(7)).tolist() == want
+
+
+# an 11-edge H on 9 vertices whose automorphisms are generated by
+# (0 5)(3 8) and (2 7): the mate of vertex 0 is 5, not the last vertex
+MATE_5 = build_graph(
+    9, [(0, 8), (1, 4), (1, 6), (2, 6), (2, 7), (3, 4), (3, 5), (3, 6), (4, 8), (6, 7), (6, 8)]
+)
+# a 10-path with ends 0 and 1: the mate lies in the two-vertex prefix
+MATE_1 = build_graph(10, [(0, 2), *((v, v + 1) for v in range(2, 9)), (9, 1)])
+
+
+def _pair_shapes():
+    """(H, orbit of vertex 0) for H with a two-vertex orbit past the table."""
+    return [(make_path(9), {0, 8}), (make_path(10), {0, 9}), (MATE_5, {0, 5}), (MATE_1, {0, 1})]
+
+
+def test_pair_slice_matches_the_full_walk():
+    # spectrum takes the p[0] < p[m] slice for these H: counts, extremes and
+    # lexicographically first witnesses agree with the full walk's
+    rng = random.Random(92)
+    for h, orbit in _pair_shapes():
+        n = h.n
+        assert _aut_orbit(adjacency(h), 0) == orbit
+        graphs = [random_connected_graph(n, rng) for _ in range(2)]
+        graphs += [make_path(n), make_complete(n)]
+        for g in graphs:
+            dist = distance_matrix(g)
+            got = kernels.scan_sums(dist, h.edges, orbit=orbit)
+            want = kernels.scan_sums(dist, h.edges)
+            assert got[0].tolist() == want[0].tolist(), (h, g)
+            assert got[1:3] == want[1:3]
+            assert (tuple(got[3]), tuple(got[4])) == (tuple(want[3]), tuple(want[4])), (h, g)
+        # every sum ties on K_n, so the rows' order alone picks the witness
+        _, _, _, mw, xw = kernels.scan_sums(distance_matrix(make_complete(n)), h.edges, orbit=orbit)
+        assert tuple(mw) == tuple(xw) == tuple(range(n))
+        dists = np.stack([distance_matrix(g) for g in graphs[:3]])
+        assert kernels.max_sums(dists, h.edges, orbit=orbit).tolist() == [
+            kernels.scan_sums(d, h.edges)[2] for d in dists
+        ]
+    rep = spectrum(make_path(9), make_complete(9))
+    assert rep.values == ((8, math.factorial(9)),)
+    assert rep.min_witness == rep.max_witness == tuple(range(9))
+
+
+def test_pair_slice_reads_half_the_walk():
+    # the slice reads n!/2 sums; an orbit of 3 to n - 1 vertices, or a pair
+    # at n <= 8, reads all n!
+    for h, orbit in _pair_shapes():
+        n = h.n
+        dist = distance_matrix(make_cycle(n))
+        read = sum(sums.shape[0] for _, _, sums in kernels._sum_tiles(dist, h.edges, orbit))
+        assert read == math.factorial(n) // 2, h
+        assert kernels._prefixes(n, orbit)[3] == 2
+    triangle_path = build_graph(9, [(0, 1), (1, 2), (0, 2), *((v, v + 1) for v in range(3, 8))])
+    star = build_graph(9, [(v, 8) for v in range(8)])
+    for h, size in ((triangle_path, 3), (star, 8), (make_path(8), 2)):
+        orbit = _aut_orbit(adjacency(h), 0)
+        assert len(orbit) == size
+        dist = distance_matrix(make_cycle(h.n))
+        read = sum(sums.shape[0] for _, _, sums in kernels._sum_tiles(dist, h.edges, orbit))
+        assert read == math.factorial(h.n), h
+        assert kernels._prefixes(h.n, orbit)[3] == 1

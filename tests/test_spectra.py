@@ -259,6 +259,34 @@ def test_aut_orbit_known_groups():
     assert _aut_orbit(adjacency(build_graph(5, [])), 2) == set(range(5))
 
 
+def _brute_force_orbits(g):
+    """Each vertex's orbit under the permutations of range(n) that map the
+    edge set onto itself, all n! of them tried."""
+    edges = {frozenset(e) for e in g.edges}
+    orbits = [set() for _ in range(g.n)]
+    for perm in itertools.permutations(range(g.n)):
+        if all(frozenset((perm[u], perm[v])) in edges for u, v in g.edges):
+            for v, image in enumerate(perm):
+                orbits[v].add(image)
+    return orbits
+
+
+def test_aut_orbit_matches_brute_force():
+    # every connected class at n <= 6, and disconnected graphs whose
+    # components differ or repeat: C3 + C4, the edgeless graph, K3 + 2K1
+    graphs = [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
+    graphs += [
+        build_graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]),
+        build_graph(5, []),
+        build_graph(5, [(0, 1), (1, 2), (0, 2)]),
+    ]
+    assert len(graphs) == 146
+    for g in graphs:
+        adj = adjacency(g)
+        for x0, want in enumerate(_brute_force_orbits(g)):
+            assert _aut_orbit(adj, x0) == want, (g, x0)
+
+
 def _symmetric_shapes(n):
     """H with large automorphism groups, where a wrong orbit prunes optima."""
     shapes = [
